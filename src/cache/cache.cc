@@ -5,10 +5,25 @@
 namespace mellowsim
 {
 
+namespace
+{
+
+/** The dirty-mask bit of LRU stack position @p pos. */
+constexpr std::uint64_t
+posBit(unsigned pos)
+{
+    return std::uint64_t{1} << pos;
+}
+
+} // namespace
+
 SetAssocCache::SetAssocCache(const CacheConfig &config) : _config(config)
 {
     fatal_if(config.assoc == 0, "%s: associativity must be >= 1",
              config.name.c_str());
+    fatal_if(config.assoc > 64,
+             "%s: associativity %u exceeds the 64-way dirty mask",
+             config.name.c_str(), config.assoc);
     fatal_if(config.sizeBytes % (config.assoc * kBlockSize) != 0,
              "%s: size must be a multiple of assoc * block size",
              config.name.c_str());
@@ -18,6 +33,7 @@ SetAssocCache::SetAssocCache(const CacheConfig &config) : _config(config)
              config.name.c_str(),
              static_cast<unsigned long long>(_numSets));
     _sets.assign(_numSets, std::vector<CacheLine>(config.assoc));
+    _dirtyMasks.assign(_numSets, 0);
 }
 
 std::uint64_t
@@ -31,7 +47,9 @@ SetAssocCache::access(LogicalAddr addr, bool isWrite, bool updateLru,
                       std::uint32_t stamp)
 {
     LogicalAddr block = blockAlign(addr);
-    auto &set = _sets[setIndex(addr)];
+    const std::uint64_t index = setIndex(addr);
+    auto &set = _sets[index];
+    std::uint64_t &mask = _dirtyMasks[index];
     _lastWriteWastedEager = false;
 
     for (unsigned pos = 0; pos < set.size(); ++pos) {
@@ -45,11 +63,18 @@ SetAssocCache::access(LogicalAddr addr, bool isWrite, bool updateLru,
                 line.eagerCleaned = false;
             }
             line.dirty = true;
+            mask |= posBit(pos);
         }
         if (updateLru && pos != 0) {
             CacheLine moved = line;
             set.erase(set.begin() + pos);
             set.insert(set.begin(), moved);
+            // Same rotation on the mask: positions 0..pos-1 move down
+            // the stack by one, position pos becomes MRU. For pos 63
+            // the "above" mask shifts out to 0, as it should.
+            const std::uint64_t above = ~((posBit(pos) << 1) - 1);
+            mask = (mask & above) | ((mask & (posBit(pos) - 1)) << 1) |
+                   ((mask >> pos) & 1);
         }
         return {true, pos};
     }
@@ -72,7 +97,8 @@ CacheVictim
 SetAssocCache::insert(LogicalAddr addr, bool dirty, std::uint32_t stamp)
 {
     LogicalAddr block = blockAlign(addr);
-    auto &set = _sets[setIndex(addr)];
+    const std::uint64_t index = setIndex(addr);
+    auto &set = _sets[index];
     panic_if(probe(addr), "%s: inserting a line already present",
              _config.name.c_str());
 
@@ -91,6 +117,10 @@ SetAssocCache::insert(LogicalAddr addr, bool dirty, std::uint32_t stamp)
     line.dirty = dirty;
     line.touchStamp = stamp;
     set.insert(set.begin(), line);
+    // The LRU line left and every other line moved down one position.
+    std::uint64_t &mask = _dirtyMasks[index];
+    mask = ((mask & ~posBit(_config.assoc - 1)) << 1) |
+           static_cast<std::uint64_t>(dirty);
     return victim;
 }
 
@@ -98,13 +128,16 @@ bool
 SetAssocCache::cleanLineForEagerWrite(LogicalAddr addr)
 {
     LogicalAddr block = blockAlign(addr);
-    auto &set = _sets[setIndex(addr)];
-    for (CacheLine &line : set) {
+    const std::uint64_t index = setIndex(addr);
+    auto &set = _sets[index];
+    for (unsigned pos = 0; pos < set.size(); ++pos) {
+        CacheLine &line = set[pos];
         if (line.valid && line.blockAddr == block) {
             if (!line.dirty)
                 return false;
             line.dirty = false;
             line.eagerCleaned = true;
+            _dirtyMasks[index] &= ~posBit(pos);
             return true;
         }
     }

@@ -120,6 +120,18 @@ class SetAssocCache
     [[nodiscard]] const std::vector<CacheLine> &
     set(std::uint64_t index) const;
 
+    /**
+     * Valid dirty lines of set @p index as a bit mask over LRU stack
+     * positions: bit p is set iff set(index)[p] is valid and dirty.
+     * Lets the eager scanner rule a set out without touching its
+     * lines.
+     */
+    [[nodiscard]] std::uint64_t
+    dirtyMask(std::uint64_t index) const
+    {
+        return _dirtyMasks[index];
+    }
+
     /** Count of valid dirty lines over the whole array (tests). */
     [[nodiscard]] std::uint64_t countDirtyLines() const;
 
@@ -136,6 +148,8 @@ class SetAssocCache
     std::uint64_t _numSets;
     /** _sets[s] ordered MRU..LRU. Invalid lines sit at the tail. */
     std::vector<std::vector<CacheLine>> _sets;
+    /** dirtyMask() per set, updated with every change to _sets. */
+    std::vector<std::uint64_t> _dirtyMasks;
     bool _lastWriteWastedEager = false;
 };
 

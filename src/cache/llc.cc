@@ -1,5 +1,7 @@
 #include "cache/llc.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mellowsim
@@ -109,45 +111,60 @@ Llc::prime(LogicalAddr addr, bool dirty)
     }
 }
 
-bool
-Llc::eagerCandidate(const CacheLine &line, unsigned pos) const
+const CacheLine *
+Llc::scanPoll()
 {
-    if (!line.valid || !line.dirty)
-        return false;
-    switch (_config.selector) {
-      case EagerSelector::UselessLru:
-        return _profiler.isUseless(pos);
-      case EagerSelector::DecayDeadBlock:
-        return _period >= line.touchStamp &&
-               _period - line.touchStamp >= _config.deadAfterPeriods;
+    if (!_controller.eagerQueueHasSpace())
+        return nullptr;
+    ++_stats.eagerScans;
+
+    // UselessLru considers dirty lines from the first useless stack
+    // position down; the decay selector considers every dirty line.
+    const unsigned from = _config.selector == EagerSelector::UselessLru
+                              ? _profiler.uselessFrom()
+                              : 0;
+    if (from >= _array.assoc())
+        return nullptr; // nothing is useless this period
+
+    const std::uint64_t set_idx = _rng.nextBounded(_array.numSets());
+    std::uint64_t dirty = _array.dirtyMask(set_idx) >> from << from;
+    if (dirty == 0)
+        return nullptr; // no dirty line where a candidate could be
+
+    // Least likely to be used again: take candidates from the LRU end.
+    const auto &set = _array.set(set_idx);
+    while (dirty != 0) {
+        const unsigned pos =
+            static_cast<unsigned>(std::bit_width(dirty)) - 1;
+        const CacheLine &line = set[pos];
+        if (_config.selector == EagerSelector::UselessLru ||
+            (_period >= line.touchStamp &&
+             _period - line.touchStamp >= _config.deadAfterPeriods)) {
+            return &line;
+        }
+        dirty &= ~(std::uint64_t{1} << pos);
     }
-    return false;
+    return nullptr;
 }
 
 void
 Llc::onScan()
 {
-    _eventq.scheduleIn(_config.scanInterval, [this] { onScan(); });
-    if (!_controller.eagerQueueHasSpace())
-        return;
-    ++_stats.eagerScans;
-
-    if (_config.selector == EagerSelector::UselessLru &&
-        _profiler.uselessFrom() >= _array.assoc()) {
-        return; // nothing is useless this period
-    }
-
-    std::uint64_t set_idx = _rng.nextBounded(_array.numSets());
-    const auto &set = _array.set(set_idx);
-
-    // Least likely to be used again: scan from the LRU end and take
-    // the first candidate.
-    for (unsigned pos = static_cast<unsigned>(set.size()); pos-- > 0;) {
-        const CacheLine &line = set[pos];
-        if (!eagerCandidate(line, pos))
+    // One pass per poll. A poll that sends nothing changes nothing an
+    // event could observe, so while the next poll would also be the
+    // queue's next event, tryAdvance() moves time to it and it runs
+    // right here instead of as an event of its own. The T_sample
+    // event is always pending, so a batch ends at the latest there.
+    for (;;) {
+        const Tick next = _eventq.curTick() + _config.scanInterval;
+        const CacheLine *line = scanPoll();
+        if (line == nullptr && _eventq.tryAdvance(next))
             continue;
-        if (_controller.eagerWrite(line.blockAddr)) {
-            _array.cleanLineForEagerWrite(line.blockAddr);
+        // Schedule the successor before the write, which may schedule
+        // same-tick controller events after it.
+        _eventq.schedule(next, [this] { onScan(); });
+        if (line != nullptr && _controller.eagerWrite(line->blockAddr)) {
+            _array.cleanLineForEagerWrite(line->blockAddr);
             ++_stats.eagerSent;
         }
         return;

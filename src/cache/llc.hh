@@ -9,6 +9,16 @@
  * to the controller's eager queue and mark it clean *without evicting
  * it*. A later store to such a line re-dirties it and counts the
  * eager write as wasted (Figure 14's write increase).
+ *
+ * The paper's scanner gets one chance per idle LLC cycle; here a poll
+ * runs every scanInterval. Most polls send nothing (the eager queue
+ * is full, nothing is useless, or the drawn set holds no candidate —
+ * the array's per-set dirty mask answers that without touching the
+ * lines). Such polls run back to back inside one scan event for as
+ * long as EventQueue::tryAdvance() shows that the next poll would be
+ * the queue's next event anyway, so every RNG draw, gate call and
+ * eagerScans count — and with them every result — is exactly that of
+ * one event per poll (DESIGN.md §10, "Eager scan").
  */
 
 #ifndef MELLOWSIM_CACHE_LLC_HH
@@ -132,11 +142,19 @@ class Llc
 
   private:
     void onSamplePeriod();
+    /**
+     * Scan event: runs polls inline until one finds a candidate or
+     * another event is due first, then schedules the next poll.
+     */
     void onScan();
+    /**
+     * One poll of the scanner: the eager-queue gate, then a random
+     * set's least-recently-used candidate under the active selector.
+     * @return The candidate line, or nullptr when the poll sends
+     *         nothing.
+     */
+    [[nodiscard]] const CacheLine *scanPoll();
     void handleVictim(const CacheVictim &victim);
-    /** Eager candidacy test for one line under the active selector. */
-    [[nodiscard]] bool eagerCandidate(const CacheLine &line,
-                                      unsigned pos) const;
 
     EventQueue &_eventq;
     LlcConfig _config;

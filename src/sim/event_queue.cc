@@ -134,7 +134,7 @@ EventQueue::maybeCompact()
 }
 
 bool
-EventQueue::step()
+EventQueue::step(Tick horizon)
 {
     while (!_heap.empty()) {
         Entry top = _heap.front();
@@ -143,7 +143,9 @@ EventQueue::step()
         if (s.pendingKey != top.key)
             continue; // cancelled: discarded lazily
         _curTick = top.when;
+        _horizon = horizon;
         fireSlot(s, slotOf(top.key));
+        _horizon = 0;
         return true;
     }
     return false;
@@ -153,6 +155,7 @@ std::uint64_t
 EventQueue::run(Tick stopAt)
 {
     std::uint64_t executed = 0;
+    _horizon = stopAt;
     while (!_heap.empty()) {
         Entry top = _heap.front();
         Slot &s = slotRef(slotOf(top.key));
@@ -169,6 +172,7 @@ EventQueue::run(Tick stopAt)
         fireSlot(s, slotOf(top.key));
         ++executed;
     }
+    _horizon = 0;
     if (_heap.empty() && stopAt != MaxTick && _curTick < stopAt)
         _curTick = stopAt;
     return executed;

@@ -235,7 +235,8 @@ class EventQueue
      * Run events until the queue empties or @p stopAt is reached.
      *
      * Events scheduled exactly at @p stopAt are NOT executed; time is
-     * left at min(next event tick, stopAt).
+     * left at min(next event tick, stopAt). @p stopAt is also the
+     * horizon that bounds tryAdvance() inside the events it runs.
      *
      * @return Number of events executed.
      */
@@ -244,10 +245,45 @@ class EventQueue
     /**
      * Execute at most one event.
      *
+     * The event may advance time further through tryAdvance() — the
+     * LLC's eager scanner runs its no-op polls inline this way — so
+     * curTick() after a step can be later than the popped event's
+     * tick, but never reaches @p horizon and never passes a pending
+     * event. A caller that steps up to an epoch or stop boundary
+     * passes that boundary as @p horizon.
+     *
      * @retval true an event was executed.
      * @retval false the queue is empty.
      */
-    bool step();
+    bool step(Tick horizon = MaxTick);
+
+    /**
+     * Move time forward to @p when from inside a running event, as if
+     * an event scheduled at @p when had been popped next. Succeeds
+     * only if that is exactly what the queue would do: no heap entry,
+     * live or lazily cancelled, sits at or before @p when, and
+     * @p when is below the horizon of the step()/run() call that is
+     * executing. Time never moves backwards. Outside step()/run()
+     * the horizon is 0, so the call always refuses.
+     *
+     * The caller then does inline what the scheduled event would
+     * have done. Because that event would have been the next to
+     * fire, every (when, seq) order among the remaining events is
+     * unchanged; only its own sequence number is never drawn.
+     *
+     * @retval true curTick() is now @p when.
+     * @retval false nothing changed; schedule the event instead.
+     */
+    [[nodiscard]] bool
+    tryAdvance(Tick when)
+    {
+        if (when < _curTick || when >= _horizon ||
+            (!_heap.empty() && _heap.front().when <= when)) {
+            return false;
+        }
+        _curTick = when;
+        return true;
+    }
 
   private:
     /**
@@ -421,6 +457,8 @@ class EventQueue
     void outlineRelease(void *block, unsigned bucket);
 
     Tick _curTick = 0;
+    /** tryAdvance() bound: the running step()/run() limit, else 0. */
+    Tick _horizon = 0;
     std::uint64_t _nextSeq = 1;
     std::size_t _numPending = 0;
 

@@ -268,9 +268,11 @@ class FrontTask : public ShardTask, public MemoryPort
         // Mirror the monolithic run loop: stop stepping the moment
         // the core retires its last instruction; events behind the
         // finish tick are abandoned, exactly as System::run abandons
-        // its remaining queue.
+        // its remaining queue. The epoch end bounds inline time
+        // advances too: responses for the next epoch are not drained
+        // yet.
         while (!_core->done() && _queue.minPendingTick() < end) {
-            _queue.step();
+            _queue.step(end);
             ++_events;
         }
         if (_core->done())

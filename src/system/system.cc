@@ -1,11 +1,15 @@
 #include "system/system.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <sstream>
 
 #include "check/install.hh"
 #include "check/registry.hh"
 #include "sim/logging.hh"
 #include "system/sharded.hh"
+#include "wear/wear_leveler.hh"
 
 namespace mellowsim
 {
@@ -70,15 +74,17 @@ System::run()
     _core->start(_config.instructions);
     // End-of-life: once fault injection has killed enough lines to
     // reach the configured capacity floor, stop the run gracefully
-    // and report what was measured — never assert or abort on a
-    // memory that wore out. Polled every 1024 events to keep the
-    // check off the hot path.
+    // right after the event that crossed it and report what was
+    // measured — never assert or abort on a memory that wore out.
+    // Without a floor the test costs one predictable branch per event.
+    const bool floor_armed =
+        _config.memory.fault.enabled &&
+        _config.memory.fault.capacityFloorFraction > 0.0;
     bool capacity_exhausted = false;
-    std::uint64_t steps = 0;
     while (!_core->done()) {
         if (!_eventq.step())
             break;
-        if ((++steps & 0x3FF) == 0 && _memory->capacityFloorReached()) {
+        if (floor_armed && _memory->capacityFloorReached()) {
             capacity_exhausted = true;
             break;
         }
@@ -206,6 +212,65 @@ runSystem(const SystemConfig &config)
         return runShardedSystem(config);
     System sys(config);
     return sys.run();
+}
+
+std::string
+stateFingerprint(System &sys, const SimReport &r)
+{
+    std::ostringstream out;
+    out << reportFingerprint(r);
+
+    MemorySystem &mem = sys.memory();
+    for (unsigned c = 0; c < mem.numChannels(); ++c) {
+        const MemoryController &ctrl = mem.channel(ChannelId(c));
+        const WearTracker &wear = ctrl.wearTracker();
+        for (unsigned b = 0; b < ctrl.numBanks(); ++b) {
+            const BankWearStats &w = wear.bankStats(BankId(b));
+            out << "ch" << c << ".bank" << b << ' ';
+            char buf[64];
+            std::snprintf(buf, sizeof(buf), "%.17g", w.wearUnits);
+            out << buf << ' ' << w.normalWrites << ' ' << w.slowWrites
+                << ' ' << w.cancelledWrites << ' '
+                << w.maintenanceWrites << ' '
+                << ctrl.bank(BankId(b)).busyTracker().busyTicks() << '\n';
+            if (const WearLeveler *lev = ctrl.issueLeveler(BankId(b))) {
+                // Fold a prefix of the live permutation into the dump
+                // so PAD/permutation state must replay exactly too.
+                std::uint64_t h = 0;
+                std::uint64_t n = std::min<std::uint64_t>(
+                    lev->numBlocks(), 4096);
+                for (std::uint64_t i = 0; i < n; ++i)
+                    h = h * 1099511628211ull + lev->remap(i);
+                out << "ch" << c << ".lev" << b << ' ' << lev->name()
+                    << ' ' << h << '\n';
+            }
+        }
+        if (const WearQuota *q = ctrl.wearQuota()) {
+            for (unsigned b = 0; b < ctrl.numBanks(); ++b) {
+                out << "ch" << c << ".quota" << b << ' ';
+                char buf[64];
+                std::snprintf(buf, sizeof(buf), "%.17g",
+                              q->bankWear(BankId(b)));
+                out << buf << ' ' << q->slowOnlyPeriods(BankId(b)) << '\n';
+            }
+        }
+        if (const FaultModel *fm = ctrl.faultModel()) {
+            for (unsigned b = 0; b < ctrl.numBanks(); ++b) {
+                out << "ch" << c << ".fault" << b << ' '
+                    << fm->sparesUsed(BankId(b)) << ' '
+                    << fm->retriesForBank(BankId(b))
+                    << '\n';
+            }
+            // The capacity trace is appended in event order, so its
+            // exact sequence must replay too.
+            for (const CapacitySample &cs : fm->capacityTrace()) {
+                out << "ch" << c << ".trace "
+                    << static_cast<std::uint64_t>(cs.tick) << ' '
+                    << cs.retiredLines << ' ' << cs.deadLines << '\n';
+            }
+        }
+    }
+    return out.str();
 }
 
 } // namespace mellowsim

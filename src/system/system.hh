@@ -153,6 +153,16 @@ class System
 /** Convenience: configure + run in one call. */
 SimReport runSystem(const SystemConfig &config);
 
+/**
+ * Exhaustive textual fingerprint of one finished run: the full
+ * SimReport plus per-bank wear, busy time, leveler permutation, quota
+ * and fault state dug out of the live system. Everything that could
+ * diverge between two runs is in here; determinism_check and the
+ * golden-fingerprint tests compare it byte for byte.
+ */
+[[nodiscard]] std::string stateFingerprint(System &sys,
+                                           const SimReport &r);
+
 } // namespace mellowsim
 
 #endif // MELLOWSIM_SYSTEM_SYSTEM_HH

@@ -163,7 +163,7 @@ TEST(Cache, SetAccessorExposesRecencyOrder)
     EXPECT_EQ(set.size(), 4u);
     EXPECT_EQ(set[0].blockAddr, addrFor(0, 4)); // MRU: last insert
     EXPECT_EQ(set[3].blockAddr, addrFor(0, 1)); // LRU: first insert
-    EXPECT_THROW(c.set(2), PanicError);
+    EXPECT_THROW((void)c.set(2), PanicError);
 }
 
 TEST(Cache, RejectsBadGeometry)
@@ -203,5 +203,78 @@ TEST(Cache, LruStackInclusionProperty)
         if (small.probe(a)) {
             EXPECT_TRUE(large.probe(a)) << "tag " << t;
         }
+    }
+}
+
+TEST(Cache, RejectsAssociativityBeyondTheDirtyMask)
+{
+    EXPECT_THROW(SetAssocCache{tiny(65, 1)}, FatalError);
+    SetAssocCache widest(tiny(64, 1));
+    EXPECT_EQ(widest.assoc(), 64u);
+}
+
+namespace
+{
+
+/** dirtyMask() recomputed from set() line by line. */
+std::uint64_t
+bruteDirtyMask(const SetAssocCache &c, std::uint64_t set)
+{
+    std::uint64_t mask = 0;
+    const auto &lines = c.set(set);
+    for (unsigned pos = 0; pos < lines.size(); ++pos) {
+        if (lines[pos].valid && lines[pos].dirty)
+            mask |= std::uint64_t{1} << pos;
+    }
+    return mask;
+}
+
+} // namespace
+
+/**
+ * Property: across random demand accesses, fills, upper-level write
+ * backs (the LLC's no-promotion write + dirty allocate) and eager
+ * cleans, every set's dirty mask equals a recomputation from set().
+ */
+TEST(Cache, DirtyMaskMatchesBruteForceUnderRandomTraffic)
+{
+    for (unsigned assoc : {1u, 2u, 16u, 64u}) {
+        constexpr std::uint64_t kSets = 4;
+        SetAssocCache c(tiny(assoc, kSets));
+        std::uint64_t rng = 0x2545f4914f6cdd1dull + assoc;
+        auto next = [&rng] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            return rng;
+        };
+        for (int op = 0; op < 20000; ++op) {
+            const std::uint64_t set = next() % kSets;
+            const LogicalAddr a =
+                addrFor(set, next() % (2 * assoc + 1), kSets);
+            switch (next() % 4) {
+              case 0: { // demand access, allocate clean on a miss
+                const bool write = next() % 2 == 0;
+                if (!c.access(a, write).hit)
+                    (void)c.insert(a, write);
+                break;
+              }
+              case 1: // write back from an upper level
+                if (!c.access(a, true, /*updateLru=*/false).hit)
+                    (void)c.insert(a, true);
+                break;
+              case 2: // fill from memory
+                if (!c.probe(a))
+                    (void)c.insert(a, false);
+                break;
+              default:
+                (void)c.cleanLineForEagerWrite(a);
+                break;
+            }
+            ASSERT_EQ(c.dirtyMask(set), bruteDirtyMask(c, set))
+                << "assoc " << assoc << " op " << op;
+        }
+        for (std::uint64_t s = 0; s < kSets; ++s)
+            EXPECT_EQ(c.dirtyMask(s), bruteDirtyMask(c, s));
     }
 }

@@ -231,7 +231,7 @@ TEST(EventQueue, SlotReuseUnderChurnKeepsHandlesDistinct)
     std::vector<EventHandle> dead;
     for (int round = 0; round < 2000; ++round) {
         EventHandle cancelled = eq.schedule(10 + round, [] {});
-        EventHandle kept = eq.schedule(10 + round, [&] { ++fired; });
+        eq.schedule(10 + round, [&] { ++fired; });
         EXPECT_TRUE(eq.deschedule(cancelled));
         dead.push_back(cancelled);
     }
@@ -328,4 +328,194 @@ TEST(EventQueue, StressAgainstMultimapReference)
         expect.push_back(id);
     EXPECT_EQ(firedOrder, expect);
     EXPECT_EQ(eq.numPending(), 0u);
+}
+
+// --- tryAdvance: inline time advance for periodic pollers ------------
+
+TEST(EventQueue, TryAdvanceRefusesOutsideStepOrRun)
+{
+    EventQueue eq;
+    EXPECT_FALSE(eq.tryAdvance(10));
+    EXPECT_EQ(eq.curTick(), 0u);
+}
+
+TEST(EventQueue, TryAdvanceRefusesAtOrPastAPendingEntry)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(10, [] {});
+    eq.schedule(0, [&] {
+        got.push_back(eq.tryAdvance(10)); // live entry at 10
+        got.push_back(eq.tryAdvance(11)); // ... and past it
+        got.push_back(eq.tryAdvance(9));
+        got.push_back(eq.curTick() == 9);
+    });
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(got, (std::vector<bool>{false, false, true, true}));
+}
+
+TEST(EventQueue, TryAdvanceRefusesAtACancelledEntry)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    EventHandle h = eq.schedule(10, [] {});
+    EXPECT_TRUE(eq.deschedule(h)); // stays in the heap, lazily
+    ASSERT_EQ(eq.rawHeapSize(), 1u);
+    eq.schedule(0, [&] {
+        got.push_back(eq.tryAdvance(10));
+        got.push_back(eq.tryAdvance(9));
+    });
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(got, (std::vector<bool>{false, true}));
+}
+
+TEST(EventQueue, TryAdvanceStopsBelowTheStepHorizon)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(0, [&] {
+        got.push_back(eq.tryAdvance(20));
+        got.push_back(eq.tryAdvance(19));
+    });
+    ASSERT_TRUE(eq.step(20));
+    EXPECT_EQ(got, (std::vector<bool>{false, true}));
+    EXPECT_EQ(eq.curTick(), 19u);
+    // The horizon belongs to that step only.
+    EXPECT_FALSE(eq.tryAdvance(25));
+}
+
+TEST(EventQueue, TryAdvanceStopsBelowTheRunHorizon)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(5, [&] {
+        got.push_back(eq.tryAdvance(30));
+        got.push_back(eq.tryAdvance(29));
+    });
+    EXPECT_EQ(eq.run(30), 1u);
+    EXPECT_EQ(got, (std::vector<bool>{false, true}));
+    EXPECT_EQ(eq.curTick(), 30u);
+    EXPECT_FALSE(eq.tryAdvance(31));
+}
+
+TEST(EventQueue, TryAdvanceNeverMovesTimeBackwards)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    eq.schedule(5, [&] {
+        got.push_back(eq.tryAdvance(3));
+        got.push_back(eq.curTick() == 5);
+        got.push_back(eq.tryAdvance(5)); // standing still is allowed
+    });
+    eq.run();
+    EXPECT_EQ(got, (std::vector<bool>{false, true, true}));
+}
+
+namespace
+{
+
+/**
+ * A periodic poller mixed with unrelated events, run either as one
+ * event per poll (the reference) or batched through tryAdvance().
+ * Every fire is logged as (id, tick); polls log id -1. Some polls
+ * "send": like the LLC's eager scanner they schedule their successor
+ * first and then a same-tick event. The other events spawn follow-ups
+ * at deltas that land on and off the poll grid, including delta 0.
+ */
+class PollChain
+{
+  public:
+    static constexpr Tick kPeriod = 4;
+    static constexpr Tick kEnd = 4000;
+
+    explicit PollChain(bool batched) : _batched(batched)
+    {
+        for (int i = 0; i < 150; ++i) {
+            Tick when = mix(static_cast<std::uint64_t>(i)) % kEnd;
+            if (i % 3 == 0)
+                when -= when % kPeriod; // on the grid
+            spawn(when, 2);
+        }
+        _eq.schedule(kPeriod, [this] { onPoll(); });
+    }
+
+    EventQueue &eq() { return _eq; }
+    const std::vector<std::pair<int, Tick>> &log() const { return _log; }
+
+  private:
+    static std::uint64_t
+    mix(std::uint64_t x)
+    {
+        x += 0x9e3779b97f4a7c15ull;
+        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+        return x ^ (x >> 31);
+    }
+
+    void
+    spawn(Tick when, int depth)
+    {
+        const int id = _nextId++;
+        _eq.schedule(when, [this, id, depth] {
+            _log.emplace_back(id, _eq.curTick());
+            if (depth == 0)
+                return;
+            static constexpr Tick kDeltas[] = {0, 1, 3, 4, 8, 13};
+            const std::uint64_t h = mix(static_cast<std::uint64_t>(id));
+            for (std::uint64_t k = 0; k < h % 3; ++k)
+                spawn(_eq.curTick() + kDeltas[(h >> (8 * k)) % 6],
+                      depth - 1);
+        });
+    }
+
+    void
+    onPoll()
+    {
+        for (;;) {
+            _log.emplace_back(-1, _eq.curTick());
+            const Tick next = _eq.curTick() + kPeriod;
+            const bool sends =
+                mix(static_cast<std::uint64_t>(_polls++) + 7777) % 5 == 0;
+            if (next >= kEnd)
+                return;
+            if (sends) {
+                _eq.schedule(next, [this] { onPoll(); });
+                spawn(_eq.curTick(), 0);
+                return;
+            }
+            if (!_batched || !_eq.tryAdvance(next)) {
+                _eq.schedule(next, [this] { onPoll(); });
+                return;
+            }
+        }
+    }
+
+    EventQueue _eq;
+    bool _batched;
+    int _nextId = 0;
+    std::uint64_t _polls = 0;
+    std::vector<std::pair<int, Tick>> _log;
+};
+
+} // namespace
+
+TEST(EventQueue, BatchedPollChainKeepsTheGlobalFireOrder)
+{
+    PollChain reference(false);
+    reference.eq().run();
+
+    // Batched under run(stopAt) windows that end on and off the grid.
+    PollChain windows(true);
+    for (Tick stop : {Tick(17), Tick(400), Tick(401), Tick(1234),
+                      Tick(2000), Tick(3999)})
+        windows.eq().run(stop);
+    windows.eq().run();
+    EXPECT_EQ(windows.log(), reference.log());
+
+    // Batched under bare step() calls.
+    PollChain steps(true);
+    while (steps.eq().step()) {
+    }
+    EXPECT_EQ(steps.log(), reference.log());
+    EXPECT_GT(reference.log().size(), 1000u);
 }

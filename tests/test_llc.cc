@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+#include <vector>
+
 #include "cache/llc.hh"
 #include "mellow/policy.hh"
 #include "nvm/controller.hh"
@@ -259,4 +264,93 @@ TEST(LlcDbp, IgnoresTheUselessPositionVerdict)
     }
     eq.run(eq.curTick() + Tick(1.6 * kMillisecond));
     EXPECT_GE(llc.stats().eagerSent.value(), 1u);
+}
+
+TEST(Llc, EagerScansCountEveryPollInsideARunWindow)
+{
+    // No dirty line anywhere and an empty eager queue: every poll
+    // passes the gate and sends nothing, so polls run batched. The
+    // count must still be one per scanInterval tick strictly before
+    // each run() stop, whether the stop is on the poll grid or not.
+    Fixture f(beMellow().withSC(), true);
+    const Tick interval = llcConfig(true).scanInterval;
+    auto polls_before = [interval](Tick stop) {
+        return (stop - 1) / interval;
+    };
+    for (Tick stop : {Tick(3 * kNanosecond), Tick(1 * kMicrosecond),
+                      Tick(1 * kMicrosecond + 1),
+                      Tick(600 * kMicrosecond),
+                      Tick(600 * kMicrosecond + 2 * kNanosecond)}) {
+        f.eq.run(stop);
+        EXPECT_EQ(f.eq.curTick(), stop);
+        EXPECT_EQ(f.llc.stats().eagerScans.value(), polls_before(stop))
+            << "stop " << stop;
+    }
+    EXPECT_EQ(f.llc.stats().eagerSent.value(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Memory port that logs gate calls and, on every accepted eager
+ * write, schedules a controller-side event one scan interval later.
+ */
+class OrderLoggingPort : public MemoryPort
+{
+  public:
+    OrderLoggingPort(EventQueue &eq, Tick delay) : _eq(eq), _delay(delay)
+    {
+    }
+
+    void read(LogicalAddr, ReadCallback) override {}
+    void writeback(LogicalAddr) override {}
+
+    bool
+    eagerWrite(LogicalAddr) override
+    {
+        _eq.schedule(_eq.curTick() + _delay,
+                     [this] { log.emplace_back('c', _eq.curTick()); });
+        return true;
+    }
+
+    [[nodiscard]] bool
+    eagerQueueHasSpace() const override
+    {
+        log.emplace_back('g', _eq.curTick());
+        return true;
+    }
+
+    mutable std::vector<std::pair<char, Tick>> log;
+
+  private:
+    EventQueue &_eq;
+    Tick _delay;
+};
+
+} // namespace
+
+TEST(Llc, EagerScanSchedulesItsSuccessorBeforeTheWrite)
+{
+    // The poll that sends schedules the next poll first, so a
+    // controller event the write schedules for that same tick fires
+    // after the next poll's gate call, never before it.
+    EventQueue eq;
+    const LlcConfig cfg = llcConfig(true);
+    OrderLoggingPort port(eq, cfg.scanInterval);
+    Llc llc(eq, cfg, port, 7);
+    for (int i = 0; i < 100; ++i)
+        llc.access(LogicalAddr(static_cast<Addr>(i + 1000) * kBlockSize),
+                   false);
+    eq.run(eq.curTick() + 510 * kMicrosecond);
+    ASSERT_EQ(llc.profiler().uselessFrom(), 0u);
+
+    llc.writebackFromUpper(LogicalAddr(0x40));
+    eq.run(eq.curTick() + 10 * kMicrosecond);
+    ASSERT_EQ(llc.stats().eagerSent.value(), 1u);
+    auto ctrl = std::find_if(port.log.begin(), port.log.end(),
+                             [](const auto &e) { return e.first == 'c'; });
+    ASSERT_NE(ctrl, port.log.end());
+    ASSERT_NE(ctrl, port.log.begin());
+    EXPECT_EQ(*std::prev(ctrl), std::make_pair('g', ctrl->second));
 }

@@ -72,70 +72,6 @@ namespace
 
 using namespace mellowsim;
 
-/**
- * Exhaustive textual fingerprint of one run: the full SimReport plus
- * per-bank wear, busy-time and quota state dug out of the live
- * system. Everything that could diverge between runs is in here.
- */
-std::string
-fingerprint(System &sys, const SimReport &r)
-{
-    std::ostringstream out;
-    out << reportFingerprint(r);
-
-    MemorySystem &mem = sys.memory();
-    for (unsigned c = 0; c < mem.numChannels(); ++c) {
-        const MemoryController &ctrl = mem.channel(ChannelId(c));
-        const WearTracker &wear = ctrl.wearTracker();
-        for (unsigned b = 0; b < ctrl.numBanks(); ++b) {
-            const BankWearStats &w = wear.bankStats(BankId(b));
-            out << "ch" << c << ".bank" << b << ' ';
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), "%.17g", w.wearUnits);
-            out << buf << ' ' << w.normalWrites << ' ' << w.slowWrites
-                << ' ' << w.cancelledWrites << ' '
-                << w.maintenanceWrites << ' '
-                << ctrl.bank(BankId(b)).busyTracker().busyTicks() << '\n';
-            if (const WearLeveler *lev = ctrl.issueLeveler(BankId(b))) {
-                // Fold a prefix of the live permutation into the dump
-                // so PAD/permutation state must replay exactly too.
-                std::uint64_t h = 0;
-                std::uint64_t n = std::min<std::uint64_t>(
-                    lev->numBlocks(), 4096);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    h = h * 1099511628211ull + lev->remap(i);
-                out << "ch" << c << ".lev" << b << ' ' << lev->name()
-                    << ' ' << h << '\n';
-            }
-        }
-        if (const WearQuota *q = ctrl.wearQuota()) {
-            for (unsigned b = 0; b < ctrl.numBanks(); ++b) {
-                out << "ch" << c << ".quota" << b << ' ';
-                char buf[64];
-                std::snprintf(buf, sizeof(buf), "%.17g",
-                              q->bankWear(BankId(b)));
-                out << buf << ' ' << q->slowOnlyPeriods(BankId(b)) << '\n';
-            }
-        }
-        if (const FaultModel *fm = ctrl.faultModel()) {
-            for (unsigned b = 0; b < ctrl.numBanks(); ++b) {
-                out << "ch" << c << ".fault" << b << ' '
-                    << fm->sparesUsed(BankId(b)) << ' '
-                    << fm->retriesForBank(BankId(b))
-                    << '\n';
-            }
-            // The capacity trace is appended in event order, so its
-            // exact sequence must replay too.
-            for (const CapacitySample &cs : fm->capacityTrace()) {
-                out << "ch" << c << ".trace "
-                    << static_cast<std::uint64_t>(cs.tick) << ' '
-                    << cs.retiredLines << ' ' << cs.deadLines << '\n';
-            }
-        }
-    }
-    return out.str();
-}
-
 /** Report the first line where two fingerprints diverge. */
 void
 reportFirstDiff(const std::string &a, const std::string &b)
@@ -435,7 +371,7 @@ main(int argc, char **argv)
 
         System sys(cfg);
         SimReport r = sys.run();
-        std::string dump = fingerprint(sys, r);
+        std::string dump = stateFingerprint(sys, r);
 
         if (i == 0) {
             reference = std::move(dump);
