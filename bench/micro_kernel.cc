@@ -18,6 +18,12 @@
  *   perf.rq.steady_allocs          ditto for the queue churn loop
  *   perf.system.sim_ticks_per_host_sec
  *   perf.system.instrs_per_host_sec
+ *   perf.system.steady_allocs      heap allocations inside
+ *                                  System::run() beyond those of a
+ *                                  quarter-budget run of the same
+ *                                  config, i.e. the part that scales
+ *                                  with run length (-1 when the alloc
+ *                                  counter is compiled out)
  *   perf.shard.ns_per_epoch        epoch-driver overhead (4-shard ring)
  *   perf.shard.msgs_per_s          cross-shard SPSC ring throughput
  *   perf.shard.events_per_s        sharded System, 4 workers
@@ -34,6 +40,7 @@
  * EXPERIMENTS.md come from running this same file on both.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -250,7 +257,22 @@ benchRequestQueue(std::uint64_t totalOps)
                     static_cast<unsigned long long>(lookups));
 }
 
-/** End-to-end System slice: whole-simulator host throughput. */
+/** Heap allocations inside System::run(); the report goes to @p out. */
+std::uint64_t
+runAllocations(const SystemConfig &cfg, SimReport &out)
+{
+    System sys(cfg);
+    std::uint64_t allocs0 = alloccounter::allocations();
+    out = sys.run();
+    return alloccounter::allocations() - allocs0;
+}
+
+/**
+ * End-to-end System slice: whole-simulator host throughput, plus the
+ * run's steady-state allocations — its count minus that of an
+ * untimed quarter-budget run of the same config, so the fixed
+ * per-run growth of bounded containers cancels out.
+ */
 void
 benchSystemSlice(std::uint64_t instructions)
 {
@@ -260,10 +282,17 @@ benchSystemSlice(std::uint64_t instructions)
     cfg.instructions = instructions;
     cfg.warmupInstructions = instructions / 4;
     cfg.seed = 1;
+    // Only checks builds have checkers; their bookkeeping is not the
+    // simulator's, so keep it out of the timing and the count.
+    cfg.checks.enabled = false;
+
+    SystemConfig quarter = cfg;
+    quarter.instructions = std::max<std::uint64_t>(instructions / 4, 1);
+    SimReport r;
+    std::uint64_t fixedAllocs = runAllocations(quarter, r);
 
     Clock::time_point t0 = Clock::now();
-    System sys(cfg);
-    SimReport r = sys.run();
+    std::uint64_t allocs = runAllocations(cfg, r);
     double secs = secondsSince(t0);
 
     metric("system.sim_ticks_per_host_sec",
@@ -271,6 +300,11 @@ benchSystemSlice(std::uint64_t instructions)
     metric("system.instrs_per_host_sec",
            static_cast<double>(r.instructions) / secs);
     metric("system.host_sec", secs);
+    metric("system.steady_allocs",
+           alloccounter::enabled()
+               ? static_cast<double>(static_cast<std::int64_t>(allocs) -
+                                     static_cast<std::int64_t>(fixedAllocs))
+               : -1.0);
 }
 
 /**

@@ -1,5 +1,7 @@
 #include "cache/hierarchy.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace mellowsim
@@ -9,9 +11,42 @@ Hierarchy::Hierarchy(EventQueue &eventq, const HierarchyConfig &config,
                      MemoryPort &controller, std::uint64_t seed)
     : _eventq(eventq), _config(config), _controller(controller),
       _l1(config.l1), _l2(config.l2),
-      _llc(eventq, config.llc, controller, seed)
+      _llc(eventq, config.llc, controller, seed),
+      _mshrs(config.llcMshrs)
 {
     fatal_if(config.llcMshrs == 0, "hierarchy needs >= 1 MSHR");
+    _waiters.reserve(config.llcMshrs);
+}
+
+Hierarchy::Mshr *
+Hierarchy::findMshr(LogicalAddr block)
+{
+    for (Mshr &m : _mshrs) {
+        if (m.valid && m.block == block)
+            return &m;
+    }
+    return nullptr;
+}
+
+void
+Hierarchy::addWaiter(Mshr &mshr, bool isWrite, Callback done)
+{
+    std::uint32_t idx = _freeWaiter;
+    if (idx != kNoWaiter) {
+        _freeWaiter = _waiters[idx].next;
+    } else {
+        idx = static_cast<std::uint32_t>(_waiters.size());
+        _waiters.emplace_back();
+    }
+    MshrWaiter &w = _waiters[idx];
+    w.isWrite = isWrite;
+    w.done = std::move(done);
+    w.next = kNoWaiter;
+    if (mshr.tail == kNoWaiter)
+        mshr.head = idx;
+    else
+        _waiters[mshr.tail].next = idx;
+    mshr.tail = idx;
 }
 
 void
@@ -87,21 +122,24 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
     }
 
     // LLC miss: merge into an outstanding MSHR if possible.
-    auto it = _mshrs.find(block);
-    if (it != _mshrs.end()) {
+    if (Mshr *merged = findMshr(block)) {
         ++_stats.mshrMerges;
-        it->second.push_back({isWrite, std::move(done)});
+        addWaiter(*merged, isWrite, std::move(done));
         return {AccessOutcome::Miss, 0};
     }
-    if (_mshrs.size() >= _config.llcMshrs) {
+    if (_liveMshrs >= _mshrs.size()) {
         ++_stats.blocked;
         _blockedEpisode = true;
         return {AccessOutcome::Blocked, 0};
     }
 
     ++_stats.llcMisses;
-    _mshrs.emplace(block,
-                   std::vector<MshrWaiter>{{isWrite, std::move(done)}});
+    Mshr &fresh = *std::find_if(_mshrs.begin(), _mshrs.end(),
+                                [](const Mshr &m) { return !m.valid; });
+    fresh.valid = true;
+    fresh.block = block;
+    ++_liveMshrs;
+    addWaiter(fresh, isWrite, std::move(done));
 
     // The memory read departs after the full lookup path.
     _eventq.scheduleIn(lookup, [this, block] {
@@ -125,21 +163,33 @@ Hierarchy::prime(LogicalAddr addr, bool isWrite)
 void
 Hierarchy::onFill(LogicalAddr blockAddr)
 {
-    auto it = _mshrs.find(blockAddr);
-    panic_if(it == _mshrs.end(), "fill for an unknown MSHR");
-    std::vector<MshrWaiter> waiters = std::move(it->second);
-    _mshrs.erase(it);
+    Mshr *mshr = findMshr(blockAddr);
+    panic_if(mshr == nullptr, "fill for an unknown MSHR");
+    std::uint32_t head = mshr->head;
+    *mshr = Mshr{};
+    --_liveMshrs;
 
     bool any_store = false;
-    for (const MshrWaiter &w : waiters)
-        any_store = any_store || w.isWrite;
+    for (std::uint32_t i = head; i != kNoWaiter; i = _waiters[i].next)
+        any_store = any_store || _waiters[i].isWrite;
 
     _llc.fillFromMemory(blockAddr);
     fillUpper(blockAddr, any_store);
 
-    for (MshrWaiter &w : waiters) {
-        if (w.done)
-            w.done();
+    // A callback may re-enter access(), which can grow _waiters and
+    // reuse freed nodes. So each node is unlinked, its callback moved
+    // out and the node freed before the callback runs; no reference
+    // into the pool is held across the call.
+    for (std::uint32_t i = head; i != kNoWaiter;) {
+        MshrWaiter &w = _waiters[i];
+        Callback done = std::move(w.done);
+        w.done = nullptr;
+        std::uint32_t next = w.next;
+        w.next = _freeWaiter;
+        _freeWaiter = i;
+        i = next;
+        if (done)
+            done();
     }
 
     if (_blockedEpisode) {

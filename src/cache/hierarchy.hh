@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -111,15 +110,34 @@ class Hierarchy
     /** Outstanding LLC misses (MSHR occupancy). */
     [[nodiscard]] std::size_t outstandingMisses() const
     {
-        return _mshrs.size();
+        return _liveMshrs;
     }
 
   private:
+    /** End of a waiter list / of the free list. */
+    static constexpr std::uint32_t kNoWaiter = ~std::uint32_t{0};
+
+    /** One access waiting on an MSHR; a singly linked pool node. */
     struct MshrWaiter
     {
-        bool isWrite;
+        bool isWrite = false;
         Callback done;
+        std::uint32_t next = kNoWaiter;
     };
+
+    /** One slot of the flat MSHR table; waiters in arrival order. */
+    struct Mshr
+    {
+        LogicalAddr block;
+        bool valid = false;
+        std::uint32_t head = kNoWaiter;
+        std::uint32_t tail = kNoWaiter;
+    };
+
+    /** Live MSHR for @p block, or nullptr. */
+    Mshr *findMshr(LogicalAddr block);
+    /** Append a waiter to @p mshr's list, reusing a freed node. */
+    void addWaiter(Mshr &mshr, bool isWrite, Callback done);
 
     void onFill(LogicalAddr blockAddr);
     void writeIntoL2(LogicalAddr blockAddr);
@@ -134,7 +152,15 @@ class Hierarchy
     SetAssocCache _l2;
     Llc _llc;
 
-    std::unordered_map<LogicalAddr, std::vector<MshrWaiter>> _mshrs;
+    /**
+     * Outstanding LLC misses: llcMshrs slots, looked up by a linear
+     * scan. Waiters live in a grow-only pool threaded by a free list,
+     * so after warm-up a miss allocates nothing.
+     */
+    std::vector<Mshr> _mshrs;
+    std::size_t _liveMshrs = 0;
+    std::vector<MshrWaiter> _waiters;
+    std::uint32_t _freeWaiter = kNoWaiter;
     bool _blockedEpisode = false;
     Callback _retryCb;
 

@@ -67,10 +67,16 @@ TraceCore::pruneRetired()
 void
 TraceCore::onLoadComplete(std::uint64_t id)
 {
-    auto it = _pendingLoads.find(id);
-    panic_if(it == _pendingLoads.end(), "completion for unknown load");
-    it->second->complete = _eventq.curTick();
-    _pendingLoads.erase(it);
+    panic_if(_window.empty() || id < _window.front().id ||
+                 id - _window.front().id >= _window.size(),
+             "completion for unknown load %llu",
+             static_cast<unsigned long long>(id));
+    LoadEntry &entry = _window.at(id - _window.front().id);
+    panic_if(entry.id != id || entry.complete != MaxTick,
+             "completion for load %llu that is not pending",
+             static_cast<unsigned long long>(id));
+    entry.complete = _eventq.curTick();
+    --_pendingLoads;
     if (id == _lastLoadId) {
         _lastLoadPending = false;
         _lastLoadComplete = _eventq.curTick();
@@ -141,7 +147,7 @@ TraceCore::process()
         }
 
         // Miss-level parallelism limit.
-        if (_pendingLoads.size() + _pendingStores >=
+        if (_pendingLoads + _pendingStores >=
             _config.maxOutstanding) {
             ++_stats.mshrStalls;
             _waitingCompletion = true;
@@ -194,7 +200,7 @@ TraceCore::process()
                 _lastLoadComplete = entry.complete;
             } else {
                 _lastLoadPending = true;
-                _pendingLoads.emplace(id, &_window.back());
+                ++_pendingLoads;
             }
         }
         _currentOpValid = false;

@@ -27,11 +27,10 @@
 #define MELLOWSIM_CPU_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
 #include "cache/hierarchy.hh"
 #include "sim/event_queue.hh"
+#include "sim/index_ring.hh"
 #include "sim/types.hh"
 #include "workload/workload.hh"
 
@@ -62,6 +61,8 @@ struct CoreStats
     std::uint64_t mshrStalls = 0;
     std::uint64_t depStalls = 0;
 };
+
+struct TraceCoreProbe;
 
 /** See file comment. */
 class TraceCore
@@ -96,6 +97,9 @@ class TraceCore
     [[nodiscard]] const CoreConfig &config() const { return _config; }
 
   private:
+    /** Lets the unit tests inject a stray load completion. */
+    friend struct TraceCoreProbe;
+
     struct LoadEntry
     {
         std::uint64_t id;
@@ -135,8 +139,14 @@ class TraceCore
     std::uint64_t _seq = 0;
     std::uint64_t _nextLoadId = 1;
 
-    std::deque<LoadEntry> _window;
-    std::unordered_map<std::uint64_t, LoadEntry *> _pendingLoads;
+    /**
+     * Loads in flight or not yet retired, in issue order. Load ids
+     * are consecutive along the window, and a pending load is never
+     * popped (pruneRetired and the ROB walk both stop at it), so
+     * load @c id sits at index `id - front().id`.
+     */
+    RingDeque<LoadEntry> _window;
+    unsigned _pendingLoads = 0;
     unsigned _pendingStores = 0;
 
     Tick _lastLoadComplete = 0;

@@ -21,6 +21,8 @@ MemoryController::MemoryController(EventQueue &eventq,
       _writeCompletion(config.geometry.numBanks, InvalidEventHandle),
       _lastReadArrival(config.geometry.numBanks, 0),
       _pausedBanks(config.geometry.numBanks),
+      _readableScratch(config.geometry.numBanks),
+      _writableScratch(config.geometry.numBanks),
       _endurance(config.endurance),
       _wear(
           [&config] {
@@ -661,18 +663,21 @@ MemoryController::trySchedule()
     // bank order. This cannot change any decision: a bank outside a
     // mask makes tryIssueRead/tryIssueWrite return false immediately
     // with no side effects and no *nextWake update. The masks are
-    // copied because issuing mutates them (pops empty banks out), and
-    // the write mask is built only after the read pass, which can
-    // requeue cancelled writes.
+    // snapshotted because issuing mutates them (pops empty banks out),
+    // and the write mask is built only after the read pass, which can
+    // requeue cancelled writes. The snapshots are copy-assigned into
+    // member scratch masks of the same size, so the vector storage is
+    // reused and a pass allocates nothing. A pass never re-enters
+    // itself: requestSchedule only schedules the next one.
     Tick next_wake = MaxTick;
-    IndexMask<BankId> readable = _readQ.nonEmptyBanks();
-    readable.forEach(
+    _readableScratch = _readQ.nonEmptyBanks();
+    _readableScratch.forEach(
         [&](BankId bank) { tryIssueRead(bank, now, &next_wake); });
 
-    IndexMask<BankId> writable = _writeQ.nonEmptyBanks();
-    writable |= _eagerQ.nonEmptyBanks();
-    writable |= _pausedBanks; // a parked resume needs no queue entry
-    writable.forEach(
+    _writableScratch = _writeQ.nonEmptyBanks();
+    _writableScratch |= _eagerQ.nonEmptyBanks();
+    _writableScratch |= _pausedBanks; // a parked resume needs no entry
+    _writableScratch.forEach(
         [&](BankId bank) { tryIssueWrite(bank, now, &next_wake); });
 
     if (next_wake != MaxTick)

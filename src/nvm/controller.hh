@@ -375,6 +375,12 @@ class MemoryController : public MemoryPort
      * whose only pending work is a parked resume.
      */
     IndexMask<BankId> _pausedBanks;
+    /**
+     * trySchedule's snapshots of the read and write-side masks,
+     * members so that copy-assigning into them reuses their storage.
+     */
+    IndexMask<BankId> _readableScratch;
+    IndexMask<BankId> _writableScratch;
 
     Tick _busNextFree = 0;
 

@@ -6,11 +6,16 @@ namespace mellowsim
 {
 
 RequestQueue::RequestQueue(unsigned numBanks, unsigned capacity)
-    : _banks(numBanks), _blockIndex(64), _nonEmpty(numBanks),
-      _frontArrival(numBanks, MaxTick), _capacity(capacity)
+    : _banks(numBanks, RingDeque<ReqSlot>(capacity)), _blockIndex(64),
+      _nonEmpty(numBanks), _frontArrival(numBanks, MaxTick),
+      _capacity(capacity)
 {
     fatal_if(numBanks == 0, "request queue needs >= 1 bank");
     fatal_if(capacity == 0, "request queue needs capacity >= 1");
+    // Size the pool and every bank FIFO for a full queue up front, so
+    // a long run does not keep reaching new high-water marks.
+    _arena.reserve(capacity);
+    _freeSlots.reserve(capacity);
     // One live entry per bank plus the full stale backlog the rebuild
     // threshold in noteFrontArrival() permits.
     _arrivalHeap.reserve(numBanks * 5 + 65);

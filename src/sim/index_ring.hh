@@ -51,9 +51,13 @@ class RingDeque
     [[nodiscard]] const T &
     at(std::size_t i) const
     {
-        panic_if(i >= _size, "ring index %zu out of range (size %zu)",
-                 i, _size);
-        return _buf[(_head + i) & (_buf.size() - 1)];
+        return _buf[slot(i)];
+    }
+
+    [[nodiscard]] T &
+    at(std::size_t i)
+    {
+        return _buf[slot(i)];
     }
 
     void
@@ -86,6 +90,14 @@ class RingDeque
     }
 
   private:
+    [[nodiscard]] std::size_t
+    slot(std::size_t i) const
+    {
+        panic_if(i >= _size, "ring index %zu out of range (size %zu)",
+                 i, _size);
+        return (_head + i) & (_buf.size() - 1);
+    }
+
     void
     grow()
     {

@@ -63,6 +63,7 @@ class IndexedVector
 
     void assign(std::size_t count, const T &init) { _v.assign(count, init); }
     void push_back(T value) { _v.push_back(std::move(value)); }
+    void reserve(std::size_t count) { _v.reserve(count); }
 
     // Index-ordered (deterministic) iteration over the values.
     [[nodiscard]] auto begin() { return _v.begin(); }

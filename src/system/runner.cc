@@ -1,5 +1,7 @@
 #include "system/runner.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,16 +18,30 @@ namespace mellowsim
 namespace
 {
 
+/**
+ * A positive decimal count from environment variable @p name, or
+ * @p fallback when it is unset or empty. strtoull alone would skip
+ * leading whitespace, accept a sign ("-1" wraps to 2^64-1) and
+ * saturate on overflow, so the text must start with a digit and the
+ * value must fit @p max; anything else is fatal.
+ */
 std::uint64_t
-envInstrs(const char *name, std::uint64_t fallback)
+envCount(const char *name, std::uint64_t fallback,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
+    fatal_if(std::isdigit(static_cast<unsigned char>(*v)) == 0,
+             "%s must be a positive integer (got '%s')", name, v);
+    errno = 0;
     char *end = nullptr;
     unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(end == v || *end != '\0',
-             "%s must be a positive integer (got '%s')", name, v);
+    fatal_if(*end != '\0', "%s must be a positive integer (got '%s')",
+             name, v);
+    fatal_if(errno == ERANGE || parsed > max,
+             "%s is out of range (got '%s', max %llu)", name, v,
+             static_cast<unsigned long long>(max));
     fatal_if(parsed == 0, "%s must be positive", name);
     return parsed;
 }
@@ -195,9 +211,9 @@ makeConfig(const std::string &workload, const WritePolicyConfig &policy)
     SystemConfig cfg;
     cfg.workloadName = workload;
     cfg.policy = policy;
-    cfg.instructions = envInstrs("MELLOWSIM_INSTRS", cfg.instructions);
+    cfg.instructions = envCount("MELLOWSIM_INSTRS", cfg.instructions);
     cfg.warmupInstructions =
-        envInstrs("MELLOWSIM_WARMUP", cfg.warmupInstructions);
+        envCount("MELLOWSIM_WARMUP", cfg.warmupInstructions);
     applyDeviceSelection(cfg);
     applyShardSelection(cfg);
     return cfg;
@@ -265,8 +281,9 @@ runConfigs(std::vector<SystemConfig> configs, unsigned jobs)
 std::vector<SimReport>
 runConfigs(std::vector<SystemConfig> configs)
 {
-    unsigned jobs = static_cast<unsigned>(envInstrs(
-        "MELLOWSIM_JOBS", sync::hardwareConcurrency()));
+    unsigned jobs = static_cast<unsigned>(
+        envCount("MELLOWSIM_JOBS", sync::hardwareConcurrency(),
+                 std::numeric_limits<unsigned>::max()));
     return runConfigs(std::move(configs), jobs);
 }
 

@@ -25,6 +25,8 @@ namespace mellowsim
  * Default configuration for a (workload, policy) pair, honouring the
  * MELLOWSIM_INSTRS and MELLOWSIM_WARMUP environment variables so the
  * whole bench suite can be scaled up or down without recompiling.
+ * Each must be a plain positive decimal: a sign, leading whitespace,
+ * trailing text, zero or overflow is fatal.
  *
  * When a device is selected — setDeviceOverride() first, else the
  * MELLOWSIM_DEVICE environment variable — the memory controller
@@ -127,7 +129,9 @@ runGrid(const std::vector<std::string> &workloads,
 
 /**
  * Run an arbitrary list of prepared configurations in parallel across
- * MELLOWSIM_JOBS worker threads (default: hardware concurrency).
+ * MELLOWSIM_JOBS worker threads (default: hardware concurrency). A
+ * MELLOWSIM_JOBS that is not a positive decimal within `unsigned`
+ * range is fatal.
  *
  * A worker-thread exception is rethrown after the sweep drains, and
  * when several configurations fail the one with the lowest sweep

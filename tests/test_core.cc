@@ -11,6 +11,21 @@
 
 using namespace mellowsim;
 
+namespace mellowsim
+{
+
+/** Reaches TraceCore's completion entry point to inject stray ids. */
+struct TraceCoreProbe
+{
+    static void
+    completeLoad(TraceCore &core, std::uint64_t id)
+    {
+        core.onLoadComplete(id);
+    }
+};
+
+} // namespace mellowsim
+
 namespace
 {
 
@@ -252,4 +267,63 @@ TEST(Core, DependentLoadStillStallsDispatch)
     f.runToDone(2);
     EXPECT_GT(f.core.stats().depStalls, 0u);
     EXPECT_GE(f.core.finishTick(), Tick(160 * kNanosecond));
+}
+
+TEST(Core, StrayLoadCompletionPanics)
+{
+    // Load 1 misses, load 2 hits in L1; the idle ops after them stall
+    // on the ROB behind load 1.
+    std::deque<Op> ops;
+    ops.push_back(op(0, false, 64 * kBlockSize));
+    ops.push_back(op(0, false, 0x40));
+    Fixture f(std::move(ops));
+    f.hier.prime(LogicalAddr(0x40), false);
+    f.core.start(100'000);
+    while (f.core.stats().loads < 2 && f.eq.step()) {
+    }
+    ASSERT_EQ(f.core.stats().loads, 2u);
+
+    EXPECT_THROW(TraceCoreProbe::completeLoad(f.core, 3), PanicError)
+        << "never issued";
+    EXPECT_THROW(TraceCoreProbe::completeLoad(f.core, 0), PanicError)
+        << "ids start at 1";
+    EXPECT_THROW(TraceCoreProbe::completeLoad(f.core, 2), PanicError)
+        << "a hit is complete at issue";
+
+    // Once load 1 really completes, a second completion is stray too.
+    while (f.core.stats().loads < 3 && f.eq.step()) {
+    }
+    ASSERT_EQ(f.core.stats().loads, 3u);
+    EXPECT_THROW(TraceCoreProbe::completeLoad(f.core, 1), PanicError)
+        << "already completed";
+}
+
+TEST(Core, LargeRobGrowsTheLoadWindow)
+{
+    // Every 256th load misses; the rest hit one L1-resident block and
+    // queue behind the pending miss, so the window holds hundreds of
+    // loads, far past the ring's initial capacity. The pinned figures
+    // are those of the deque + hash-map window this ring replaced.
+    CoreConfig cc;
+    cc.robSize = 1024;
+    std::deque<Op> ops;
+    for (int i = 0; i < 8192; ++i) {
+        Addr a = i % 256 == 0
+                     ? static_cast<Addr>(i / 256 + 64) * kBlockSize
+                     : 0x40;
+        ops.push_back(op(1, false, a));
+    }
+    Fixture f(std::move(ops), cc);
+    f.hier.prime(LogicalAddr(0x40), false);
+    f.runToDone(16'000);
+
+    const CoreStats &s = f.core.stats();
+    EXPECT_DOUBLE_EQ(f.core.ipc(), 6.6334991708126037);
+    EXPECT_EQ(f.core.finishTick(), 1'206'000u);
+    EXPECT_EQ(s.instructions, 16'000u);
+    EXPECT_EQ(s.loads, 8'000u);
+    EXPECT_EQ(s.mshrStalls, 0u);
+    EXPECT_EQ(s.depStalls, 0u);
+    EXPECT_EQ(s.robStalls, 2u); // the window filled the whole ROB
+    EXPECT_EQ(f.hier.stats().llcMisses.value(), 32u);
 }

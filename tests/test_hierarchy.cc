@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "mellow/policy.hh"
 #include "nvm/controller.hh"
+#include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 
 using namespace mellowsim;
@@ -46,6 +53,51 @@ struct Fixture
     }
     void run(Tick t = 10 * kMicrosecond) { eq.run(eq.curTick() + t); }
 };
+
+/** Memory port whose reads complete only when the test says so. */
+class ScriptedPort : public MemoryPort
+{
+  public:
+    void
+    read(LogicalAddr addr, ReadCallback onComplete) override
+    {
+        pending.emplace_back(addr, std::move(onComplete));
+    }
+
+    void writeback(LogicalAddr) override {}
+    bool eagerWrite(LogicalAddr) override { return false; }
+    [[nodiscard]] bool eagerQueueHasSpace() const override { return false; }
+
+    /** Deliver the data of the @p i-th outstanding read. */
+    LogicalAddr
+    complete(std::size_t i)
+    {
+        auto [addr, done] = std::move(pending[i]);
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(i));
+        done();
+        return addr;
+    }
+
+    std::vector<std::pair<LogicalAddr, ReadCallback>> pending;
+};
+
+/** A hierarchy over a ScriptedPort: the test decides fill order. */
+struct ScriptedFixture
+{
+    EventQueue eq;
+    ScriptedPort port;
+    Hierarchy hier;
+    ScriptedFixture() : hier(eq, smallHierarchy(), port, 3) {}
+    /** Let issued misses travel the lookup path to the port. */
+    void deliver() { eq.run(eq.curTick() + kMicrosecond); }
+};
+
+/** The @p n-th never-touched block (cold in every level). */
+LogicalAddr
+freshBlock(unsigned n)
+{
+    return LogicalAddr(static_cast<Addr>(1000 + n) * kBlockSize);
+}
 
 } // namespace
 
@@ -207,4 +259,164 @@ TEST(Hierarchy, LlcMissRateMatchesStreamingPattern)
     }
     EXPECT_EQ(f.hier.stats().llcMisses.value(), 1000u);
     EXPECT_EQ(f.hier.stats().l1Hits.value(), 0u);
+}
+
+TEST(Hierarchy, MshrTableMatchesReferenceModel)
+{
+    // Random accesses and out-of-order fills against a std::map model
+    // of the MSHRs: merges, waiter firing order, blocking at exactly
+    // llcMshrs, and one retry per blocking episode.
+    ScriptedFixture f;
+    const std::size_t mshrs = smallHierarchy().llcMshrs;
+    std::map<Addr, std::vector<int>> ref; // block -> waiter tokens
+    std::vector<int> fired;
+    bool blockedEpisode = false;
+    int retries = 0;
+    int expectedRetries = 0;
+    std::uint64_t misses = 0, merges = 0, blocked = 0;
+    f.hier.setRetryCallback([&] { ++retries; });
+
+    std::mt19937_64 rng(42);
+    unsigned nextFresh = 0;
+    int nextToken = 0;
+    for (int step = 0; step < 20000; ++step) {
+        bool fill = !f.port.pending.empty() && rng() % 5 < 2;
+        if (fill) {
+            std::size_t i = rng() % f.port.pending.size();
+            Addr block = f.port.pending[i].first.value();
+            std::vector<int> expect = ref.at(block);
+            std::size_t before = fired.size();
+            f.port.complete(i);
+            ref.erase(block);
+            ASSERT_EQ(fired.size(), before + expect.size());
+            EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
+                                   fired.begin() +
+                                       static_cast<std::ptrdiff_t>(before)));
+            if (blockedEpisode) {
+                blockedEpisode = false;
+                ++expectedRetries;
+            }
+        } else {
+            bool merge = !ref.empty() && rng() % 3 == 0;
+            LogicalAddr addr = freshBlock(nextFresh);
+            if (merge) {
+                auto it = ref.begin();
+                std::advance(it, static_cast<std::ptrdiff_t>(
+                                     rng() % ref.size()));
+                // Any byte of the block merges.
+                addr = LogicalAddr(it->first + rng() % kBlockSize);
+            } else {
+                ++nextFresh;
+            }
+            int token = nextToken++;
+            AccessTicket t = f.hier.access(
+                addr, rng() % 2 == 0, [&fired, token] {
+                    fired.push_back(token);
+                });
+            Addr block = blockAlign(addr).value();
+            if (merge) {
+                EXPECT_EQ(t.outcome, AccessOutcome::Miss);
+                ref[block].push_back(token);
+                ++merges;
+            } else if (ref.size() >= mshrs) {
+                EXPECT_EQ(t.outcome, AccessOutcome::Blocked);
+                blockedEpisode = true;
+                ++blocked;
+            } else {
+                EXPECT_EQ(t.outcome, AccessOutcome::Miss);
+                ref[block].push_back(token);
+                ++misses;
+            }
+            f.deliver();
+        }
+        ASSERT_EQ(f.hier.outstandingMisses(), ref.size());
+        ASSERT_EQ(f.port.pending.size(), ref.size());
+        ASSERT_EQ(retries, expectedRetries);
+    }
+    EXPECT_EQ(f.hier.stats().llcMisses.value(), misses);
+    EXPECT_EQ(f.hier.stats().mshrMerges.value(), merges);
+    EXPECT_EQ(f.hier.stats().blocked.value(), blocked);
+    // The walk must have exercised every path.
+    EXPECT_GT(misses, 1000u);
+    EXPECT_GT(merges, 1000u);
+    EXPECT_GT(expectedRetries, 100);
+}
+
+TEST(Hierarchy, FreedMshrsAndWaitersAreReused)
+{
+    ScriptedFixture f;
+    const unsigned mshrs = smallHierarchy().llcMshrs;
+    unsigned fresh = 0;
+    int fired = 0;
+    auto round = [&] {
+        // Occupy every MSHR with three waiters, then drain.
+        for (unsigned m = 0; m < mshrs; ++m) {
+            LogicalAddr block = freshBlock(fresh++);
+            for (int w = 0; w < 3; ++w) {
+                AccessTicket t = f.hier.access(block, w == 1,
+                                               [&fired] { ++fired; });
+                EXPECT_EQ(t.outcome, AccessOutcome::Miss);
+            }
+        }
+        f.deliver();
+        EXPECT_EQ(f.hier.outstandingMisses(), mshrs);
+        while (!f.port.pending.empty())
+            f.port.complete(f.port.pending.size() - 1);
+        EXPECT_EQ(f.hier.outstandingMisses(), 0u);
+    };
+    f.port.pending.reserve(mshrs);
+    round();
+
+    std::uint64_t allocs0 = alloccounter::allocations();
+    for (int r = 0; r < 100; ++r)
+        round();
+    std::uint64_t allocs = alloccounter::allocations() - allocs0;
+
+    EXPECT_EQ(fired, 101 * static_cast<int>(mshrs) * 3);
+    EXPECT_EQ(f.hier.stats().blocked.value(), 0u);
+    // Entries and waiter nodes are recycled, never reallocated.
+    if (alloccounter::enabled()) {
+        EXPECT_EQ(allocs, 0u);
+    }
+}
+
+TEST(Hierarchy, CallbackMissingTheSameBlockStartsAFreshMshr)
+{
+    // A completion callback re-enters access() for the block being
+    // filled. The MSHR is already free, so this is a new miss; the
+    // extra waiters grow the pool mid-walk, which must neither lose
+    // the remaining waiter of the first fill nor fire anything twice.
+    ScriptedFixture f;
+    const LogicalAddr block(0x40);
+    std::vector<char> log;
+    auto reissue = [&] {
+        log.push_back('A');
+        // Evict the block from every level: the same set in L1, L2
+        // and the LLC recurs every 64 blocks.
+        for (Addr k = 1; k <= 16; ++k)
+            f.hier.prime(LogicalAddr(0x40 + k * 64 * kBlockSize), false);
+        // More waiters than the pool has held so far: it reallocates.
+        for (char c : {'u', 'v', 'w', 'x', 'y', 'z'}) {
+            AccessTicket t = f.hier.access(
+                block, c == 'y', [&log, c] { log.push_back(c); });
+            EXPECT_EQ(t.outcome, AccessOutcome::Miss);
+        }
+    };
+    f.hier.access(block, false, reissue);
+    f.hier.access(block, true, [&log] { log.push_back('B'); });
+    f.deliver();
+    ASSERT_EQ(f.port.pending.size(), 1u);
+    f.port.complete(0);
+
+    EXPECT_EQ(log, (std::vector<char>{'A', 'B'}));
+    EXPECT_EQ(f.hier.outstandingMisses(), 1u);
+    EXPECT_EQ(f.hier.stats().llcMisses.value(), 2u);
+    EXPECT_EQ(f.hier.stats().mshrMerges.value(), 6u);
+
+    f.deliver();
+    ASSERT_EQ(f.port.pending.size(), 1u);
+    EXPECT_EQ(f.port.complete(0), block);
+    EXPECT_EQ(log, (std::vector<char>{'A', 'B', 'u', 'v', 'w', 'x', 'y',
+                                      'z'}));
+    EXPECT_EQ(f.hier.outstandingMisses(), 0u);
 }

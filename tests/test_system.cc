@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "sim/logging.hh"
 #include "system/report.hh"
@@ -27,7 +31,104 @@ quickConfig(const std::string &workload, const WritePolicyConfig &policy,
     return cfg;
 }
 
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : _name(name)
+    {
+        if (const char *old = std::getenv(name))
+            _old = old;
+        ::setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (_old)
+            ::setenv(_name, _old->c_str(), 1);
+        else
+            ::unsetenv(_name);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *_name;
+    std::optional<std::string> _old;
+};
+
+void
+expectBadInstrs(const char *name, const char *value)
+{
+    ScopedEnv env(name, value);
+    EXPECT_THROW(makeConfig("stream", norm()), FatalError)
+        << name << "='" << value << "'";
+}
+
+void
+expectBadJobs(const char *value)
+{
+    ScopedEnv env("MELLOWSIM_JOBS", value);
+    EXPECT_THROW(runConfigs({}), FatalError)
+        << "MELLOWSIM_JOBS='" << value << "'";
+}
+
 } // namespace
+
+TEST(RunnerEnv, AcceptsPlainDecimal)
+{
+    ScopedEnv instrs("MELLOWSIM_INSTRS", "123");
+    ScopedEnv warmup("MELLOWSIM_WARMUP", "18446744073709551615");
+    SystemConfig cfg = makeConfig("stream", norm());
+    EXPECT_EQ(cfg.instructions, 123u);
+    EXPECT_EQ(cfg.warmupInstructions, 18446744073709551615u);
+
+    // The largest unsigned worker count is accepted (an empty sweep
+    // returns before spawning anything).
+    ScopedEnv jobs("MELLOWSIM_JOBS", "4294967295");
+    EXPECT_TRUE(runConfigs({}).empty());
+}
+
+TEST(RunnerEnv, RejectsSign)
+{
+    // strtoull would wrap "-1" to 2^64-1 instructions.
+    expectBadInstrs("MELLOWSIM_INSTRS", "-1");
+    expectBadInstrs("MELLOWSIM_INSTRS", "+5");
+    expectBadInstrs("MELLOWSIM_WARMUP", "-1");
+    expectBadJobs("-1");
+}
+
+TEST(RunnerEnv, RejectsLeadingWhitespace)
+{
+    expectBadInstrs("MELLOWSIM_INSTRS", " 5");
+    expectBadInstrs("MELLOWSIM_WARMUP", "\t5");
+    expectBadJobs(" 4");
+}
+
+TEST(RunnerEnv, RejectsOverflow)
+{
+    // 2^64: strtoull saturates and reports ERANGE.
+    expectBadInstrs("MELLOWSIM_INSTRS", "18446744073709551616");
+    expectBadInstrs("MELLOWSIM_WARMUP", "99999999999999999999999");
+    expectBadJobs("18446744073709551616");
+}
+
+TEST(RunnerEnv, RejectsJobsAboveUnsignedRange)
+{
+    // 2^32 + 1 used to truncate silently to one job.
+    static_assert(UINT_MAX == 4294967295u);
+    expectBadJobs("4294967296");
+    expectBadJobs("4294967297");
+}
+
+TEST(RunnerEnv, RejectsZeroAndTrailingText)
+{
+    expectBadInstrs("MELLOWSIM_INSTRS", "0");
+    expectBadInstrs("MELLOWSIM_INSTRS", "5x");
+    expectBadInstrs("MELLOWSIM_INSTRS", "5 ");
+    expectBadJobs("0");
+}
 
 TEST(System, ReportIsSane)
 {
