@@ -6,10 +6,9 @@
  * channel (Section IV-E). More channels multiply bus bandwidth, bank
  * count and eager-queue capacity; like the Figure 18 bank sweep, this
  * shows how Mellow Writes' benefit scales with the parallelism
- * available to hide slow writes in. The wide points (16+) are also the
- * shape the sharded runtime targets — pass --shards <n> (or set
- * MELLOWSIM_SHARDS) to run each simulation on the per-channel
- * ChannelShard path described in DESIGN.md §15.
+ * available to hide slow writes in. Every point is one monolithic
+ * System; the sweep's parallelism comes from running the points side
+ * by side (runConfigs, MELLOWSIM_JOBS).
  */
 
 #include <cstdio>

@@ -24,14 +24,9 @@
  *                                  config, i.e. the part that scales
  *                                  with run length (-1 when the alloc
  *                                  counter is compiled out)
- *   perf.shard.ns_per_epoch        epoch-driver overhead (4-shard ring)
- *   perf.shard.msgs_per_s          cross-shard SPSC ring throughput
- *   perf.shard.events_per_s        sharded System, 4 workers
- *   perf.shard.events_per_s_serial sharded System, serial oracle
- *   perf.shard.speedup             4-worker / serial events-per-second
- *                                  (bounded by the host's core count)
  *
- * Scaling knobs (environment):
+ * Scaling knobs (environment; positive decimal integers, parsed by
+ * envCount() in system/runner.hh, anything else is fatal):
  *   MELLOWSIM_PERF_EVENTS  events in the timed kernel loop (def 2e6)
  *   MELLOWSIM_INSTRS       instructions for the System slice (def 1e6)
  *
@@ -44,8 +39,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -54,10 +47,8 @@
 #include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
-#include "sim/sync.hh"
 #include "system/report.hh"
-#include "system/sharded.hh"
+#include "system/runner.hh"
 #include "system/system.hh"
 
 using namespace mellowsim;
@@ -71,15 +62,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-std::uint64_t
-envCount(const char *name, std::uint64_t dflt)
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return dflt;
-    return static_cast<std::uint64_t>(std::strtod(v, nullptr));
 }
 
 void
@@ -307,111 +289,6 @@ benchSystemSlice(std::uint64_t instructions)
                : -1.0);
 }
 
-/**
- * Shard-epoch driver cost: a 4-shard forwarding ring with a constant
- * in-flight message population, driven through fixed-horizon epochs by
- * the serial oracle. Isolates the per-epoch overhead of the epoch
- * driver (port drain + queue run + bookkeeping) and the cross-shard
- * message rate through the SPSC rings, with no model code in the loop.
- */
-void
-benchShardEpochs(std::uint64_t epochs)
-{
-    constexpr Tick kLookahead = 16;
-    constexpr unsigned kShards = 4;
-    constexpr unsigned kSeedsPerShard = 8;
-
-    ShardGroup group{Lookahead(kLookahead)};
-    std::vector<ChannelShard *> shards;
-    for (unsigned i = 0; i < kShards; ++i)
-        shards.push_back(&group.addShard());
-    for (unsigned i = 0; i < kShards; ++i)
-        group.connect(*shards[i], *shards[(i + 1) % kShards]);
-
-    for (ChannelShard *shard : shards) {
-        // Every delivery forwards, so the in-flight population stays
-        // at kShards * kSeedsPerShard for the whole run.
-        shard->setHandler(
-            [](ChannelShard &self, Tick, ShardPayload payload) {
-                self.send(0, payload);
-            });
-        for (Tick extra = 0; extra < kSeedsPerShard; ++extra)
-            shard->sendDelayed(0, shard->id() + 1, extra);
-    }
-
-    Clock::time_point t0 = Clock::now();
-    group.run(epochs * kLookahead, 1);
-    double secs = secondsSince(t0);
-
-    ShardStats merged = group.mergedStats();
-    metric("shard.ns_per_epoch",
-           secs * 1e9 / static_cast<double>(epochs));
-    metric("shard.msgs_per_s",
-           static_cast<double>(merged.messagesReceived.value()) / secs);
-}
-
-/**
- * Sharded-System slice: the real 16-channel model on the ChannelShard
- * path (DESIGN.md §15), serial oracle vs 4 workers. The two runs are
- * fingerprint-identical (that is the determinism contract), so the
- * speedup is a pure host-throughput ratio; on a single-core host it
- * sits at or below 1.0 and the absolute events/s is the number that
- * matters.
- */
-void
-benchShardedSystem(std::uint64_t instructions)
-{
-    SystemConfig cfg;
-    cfg.workloadName = "gups"; // random traffic touches every channel
-    cfg.policy = policies::beMellow().withSC().withWQ();
-    cfg.instructions = instructions;
-    cfg.warmupInstructions = instructions / 4;
-    cfg.seed = 1;
-    cfg.numChannels = 16;
-    cfg.memory.geometry.capacityBytes = 1ull << 30;
-
-    auto timedRun = [&cfg](unsigned shards, ShardRunInfo &info,
-                           std::string &fingerprint) {
-        SystemConfig run = cfg;
-        run.shards = shards;
-        Clock::time_point t0 = Clock::now();
-        SimReport r = runShardedSystem(run, &info);
-        double secs = secondsSince(t0);
-        if (r.simTicks == 0)
-            std::printf("# empty sharded run\n");
-        fingerprint = reportFingerprint(r);
-        return secs;
-    };
-
-    ShardRunInfo serial, threaded;
-    std::string serialPrint, threadedPrint;
-    double serialSecs = timedRun(1, serial, serialPrint);
-    double threadedSecs = timedRun(4, threaded, threadedPrint);
-
-    // The perf numbers above are advisory; this is the gate. A
-    // threaded run that drifts from the serial oracle means the
-    // epoch protocol lost determinism, and no throughput figure from
-    // a diverged simulation is worth recording.
-    if (serialPrint != threadedPrint) {
-        std::fprintf(stderr,
-                     "FAIL: sharded System fingerprint diverged "
-                     "between --shards 1 and --shards 4\n");
-        std::exit(1);
-    }
-
-    double serialRate =
-        static_cast<double>(serial.events) / serialSecs;
-    double threadedRate =
-        static_cast<double>(threaded.events) / threadedSecs;
-    metric("shard.events_per_s", threadedRate);
-    metric("shard.events_per_s_serial", serialRate);
-    metric("shard.speedup", threadedRate / serialRate);
-    std::printf("# shard slice: events=%llu epochs=%llu cores=%u\n",
-                static_cast<unsigned long long>(serial.events),
-                static_cast<unsigned long long>(serial.epochs),
-                sync::hardwareConcurrency());
-}
-
 } // namespace
 
 int
@@ -420,9 +297,14 @@ main(int argc, char **argv)
     benchutil::applyBenchArgs(argc, argv);
     Logger::setQuiet(true);
 
-    std::uint64_t events =
-        envCount("MELLOWSIM_PERF_EVENTS", 2'000'000);
-    std::uint64_t instrs = envCount("MELLOWSIM_INSTRS", 1'000'000);
+    std::uint64_t events = 0;
+    std::uint64_t instrs = 0;
+    try {
+        events = envCount("MELLOWSIM_PERF_EVENTS", 2'000'000);
+        instrs = envCount("MELLOWSIM_INSTRS", 1'000'000);
+    } catch (const FatalError &) {
+        return 1; // fatal() has already printed the reason
+    }
 
     std::printf("# micro_kernel: events=%llu instrs=%llu "
                 "alloc_counter=%d\n",
@@ -436,7 +318,5 @@ main(int argc, char **argv)
     benchScheduleCancel(events / 2);
     benchRequestQueue(events / 2);
     benchSystemSlice(instrs);
-    benchShardEpochs(events / 40);
-    benchShardedSystem(instrs / 4);
     return 0;
 }

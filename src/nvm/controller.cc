@@ -131,7 +131,6 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
 {
     Tick now = _eventq.curTick();
     ++_stats.demandReads;
-    ++_inFlightReads;
 
     // Read forwarding: a queued (or eager-queued) write to the same
     // block supplies the data from the controller's buffers without
@@ -141,10 +140,7 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
         ++_stats.forwardedReads;
         _stats.readLatency.sample(
             static_cast<double>(_config.forwardLatency));
-        auto deliver = [this, cb = std::move(onComplete)] {
-            --_inFlightReads;
-            cb();
-        };
+        auto deliver = [cb = std::move(onComplete)] { cb(); };
         static_assert(EventQueue::fitsInline<decltype(deliver)>(),
                       "forwarded-read callback must use the inline "
                       "slot, not the out-of-line pool");
@@ -201,28 +197,6 @@ bool
 MemoryController::eagerQueueHasSpace() const
 {
     return !_eagerQ.full();
-}
-
-std::size_t
-MemoryController::pendingReads() const
-{
-    return _readQ.size();
-}
-
-bool
-MemoryController::idle() const
-{
-    if (_readQ.size() != 0 || _writeQ.size() != 0 || _eagerQ.size() != 0)
-        return false;
-    if (_inFlightReads != 0 || _pausedBanks.any())
-        return false;
-    // A valid completion handle means a write pulse is running in the
-    // bank (its request lives there, not in any queue).
-    for (const EventHandle &h : _writeCompletion) {
-        if (h != InvalidEventHandle)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -368,7 +342,6 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
     _stats.readLatency.sample(static_cast<double>(done - req.arrival));
 
     auto deliver = [this, cb = std::move(req.onComplete)] {
-        --_inFlightReads;
         if (cb)
             cb();
         requestSchedule(_eventq.curTick());
@@ -637,8 +610,6 @@ MemoryController::onWriteComplete(BankId bank)
         // request — graceful degradation, never an abort.
         if (req.type == ReqType::EagerWrite) {
             ++_stats.completedEagerWrites;
-            if (_onEagerComplete)
-                _onEagerComplete();
         } else {
             ++_stats.completedDemandWrites;
         }

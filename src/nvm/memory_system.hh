@@ -118,9 +118,8 @@ class MemorySystem : public MemoryPort
 /**
  * The per-channel controller configuration a multi-channel system
  * hands channel @p c: capacity split evenly, fault seed perturbed so
- * channels never share weak-line draws. MemorySystem and the sharded
- * ChannelTask both build their controllers through this, which is
- * what makes a sharded channel bit-identical to its monolithic twin.
+ * channels never share weak-line draws. MemorySystem builds every
+ * channel's controller through this.
  */
 [[nodiscard]] MemControllerConfig
 perChannelConfig(const MemControllerConfig &channel, unsigned numChannels,

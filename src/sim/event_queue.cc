@@ -134,7 +134,7 @@ EventQueue::maybeCompact()
 }
 
 bool
-EventQueue::step(Tick horizon)
+EventQueue::step()
 {
     while (!_heap.empty()) {
         Entry top = _heap.front();
@@ -143,7 +143,7 @@ EventQueue::step(Tick horizon)
         if (s.pendingKey != top.key)
             continue; // cancelled: discarded lazily
         _curTick = top.when;
-        _horizon = horizon;
+        _horizon = MaxTick;
         fireSlot(s, slotOf(top.key));
         _horizon = 0;
         return true;

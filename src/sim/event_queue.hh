@@ -248,14 +248,12 @@ class EventQueue
      * The event may advance time further through tryAdvance() — the
      * LLC's eager scanner runs its no-op polls inline this way — so
      * curTick() after a step can be later than the popped event's
-     * tick, but never reaches @p horizon and never passes a pending
-     * event. A caller that steps up to an epoch or stop boundary
-     * passes that boundary as @p horizon.
+     * tick, but never passes a pending event.
      *
      * @retval true an event was executed.
      * @retval false the queue is empty.
      */
-    bool step(Tick horizon = MaxTick);
+    bool step();
 
     /**
      * Move time forward to @p when from inside a running event, as if

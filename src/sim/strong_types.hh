@@ -256,83 +256,6 @@ class PulseFactor
     double _factor = 1.0;
 };
 
-// --- Cross-shard time discipline ------------------------------------
-
-/**
- * The conservative-synchronization window of a ChannelShard: the
- * minimum model-time distance between a send and its earliest legal
- * delivery (DESIGN.md §13). A lookahead of zero would collapse the
- * epoch protocol into a message-by-message handshake, so the window
- * is clamped to >= 1 tick at construction; a Lookahead is valid by
- * construction exactly like PulseFactor.
- */
-class Lookahead
-{
-  public:
-    constexpr explicit Lookahead(Tick window)
-        : _window(window < 1 ? 1 : window)
-    {
-    }
-
-    /** The window in ticks; always >= 1. */
-    [[nodiscard]] constexpr Tick window() const { return _window; }
-
-    friend constexpr bool operator==(Lookahead, Lookahead) = default;
-    friend constexpr auto operator<=>(Lookahead, Lookahead) = default;
-
-  private:
-    Tick _window;
-};
-
-/**
- * The delivery timestamp of a cross-shard message.
- *
- * There is deliberately NO public constructor: the only way to mint a
- * SendTime is `now + Lookahead`, so "every send respects the shard's
- * lookahead" is a fact of the type system, not a runtime check.
- * ShardPort::Sender accepts nothing else, tests/compile_fail/ pins
- * the property, and mellow-analyze's `port-protocol` rule
- * cross-checks every call site so neither frontend can be talked
- * around with a cast.
- */
-class SendTime
-{
-  public:
-    /** The raw delivery tick; the only exit from the type. */
-    [[nodiscard]] constexpr Tick tick() const { return _when; }
-
-    /**
-     * Delay a message further into the receiver's future. Adding raw
-     * ticks only ever moves the timestamp later, so the lookahead
-     * bound minted at construction still holds.
-     */
-    [[nodiscard]] constexpr SendTime
-    operator+(Tick extra) const
-    {
-        return SendTime(_when + extra);
-    }
-
-    friend constexpr bool operator==(SendTime, SendTime) = default;
-    friend constexpr auto operator<=>(SendTime, SendTime) = default;
-
-    /** The sole mint: a sender's current tick plus its lookahead.
-     * Declared at namespace scope (not as a hidden friend) because
-     * neither operand is a SendTime, so ADL would never find it
-     * otherwise. */
-    friend constexpr SendTime operator+(Tick now, Lookahead la);
-
-  private:
-    constexpr explicit SendTime(Tick when) : _when(when) {}
-
-    Tick _when;
-};
-
-[[nodiscard]] constexpr SendTime
-operator+(Tick now, Lookahead la)
-{
-    return SendTime(now + la.window());
-}
-
 // The whole point is zero overhead: same size and triviality as the
 // raw representations they replace.
 static_assert(sizeof(LogicalAddr) == sizeof(Addr));
@@ -340,10 +263,7 @@ static_assert(sizeof(DeviceAddr) == sizeof(std::uint64_t));
 static_assert(sizeof(BankId) == sizeof(unsigned));
 static_assert(sizeof(Picojoules) == sizeof(double));
 static_assert(sizeof(PulseFactor) == sizeof(double));
-static_assert(sizeof(Lookahead) == sizeof(Tick));
-static_assert(sizeof(SendTime) == sizeof(Tick));
 static_assert(std::is_trivially_copyable_v<LogicalAddr>);
-static_assert(std::is_trivially_copyable_v<SendTime>);
 static_assert(std::is_trivially_copyable_v<Picojoules>);
 static_assert(std::is_trivially_copyable_v<PulseFactor>);
 

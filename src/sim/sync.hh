@@ -16,22 +16,22 @@
  *     other compilers the attributes expand to nothing and the
  *     wrappers are zero-cost forwarding shims.
  *
- *  2. They give the shard-confinement analysis
+ *  2. They give the confinement analysis
  *     (tools/analyze/confinement.toml) a closed vocabulary of
  *     "synchronized" types: mutable state shared across threads must
  *     be one of these types (or std::atomic / thread_local), or the
  *     `confinement-global` rule flags it.
  *
- * The concurrency model itself (what is shard-owned, what is shared
- * immutable, what must be synchronized) is documented in DESIGN.md
- * §11 and declared machine-checkably in tools/analyze/confinement.toml.
+ * The concurrency model itself (what one simulation owns, what is
+ * shared immutable, what must be synchronized) is documented in
+ * DESIGN.md §11 and declared machine-checkably in
+ * tools/analyze/confinement.toml.
  */
 
 #ifndef MELLOWSIM_SIM_SYNC_HH
 #define MELLOWSIM_SIM_SYNC_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -243,155 +243,6 @@ class TicketCounter
 
   private:
     std::atomic<std::size_t> _next{0};
-};
-
-/**
- * The publication index of a single-producer/single-consumer ring.
- *
- * The producer advances the sequence with publish() AFTER writing the
- * slots it covers; release/acquire pairing makes those writes visible
- * to the consumer by the time read() returns the new value. The
- * owning side reads its own sequence with ownerRead() (no ordering
- * needed against itself). This is the only inter-thread edge a
- * ShardPort needs, which is why the SPSC ring can live outside this
- * header without touching raw atomics.
- */
-class SpscSequence
-{
-  public:
-    /** Publish a new sequence value (producer side only). */
-    void publish(std::uint64_t v)
-    {
-        _value.store(v, std::memory_order_release);
-    }
-
-    /** Observe the latest published value (other side). */
-    [[nodiscard]] std::uint64_t read() const
-    {
-        return _value.load(std::memory_order_acquire);
-    }
-
-    /** Re-read a sequence this thread itself publishes. */
-    [[nodiscard]] std::uint64_t ownerRead() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> _value{0};
-};
-
-/**
- * Reusable rendezvous for a fixed party of threads.
- *
- * arriveAndWait() blocks until all parties of the current generation
- * have arrived, then releases them together; the generation counter
- * makes the barrier immediately reusable for the next epoch. Used by
- * ShardGroup to separate conservative-lookahead epochs; plain
- * mutex + condition_variable because epoch boundaries are rare
- * (one per lookahead window) and correctness beats spin throughput.
- */
-class Barrier
-{
-  public:
-    explicit Barrier(std::size_t parties)
-        : _parties(parties), _waiting(0), _generation(0)
-    {
-    }
-    Barrier(const Barrier &) = delete;
-    Barrier &operator=(const Barrier &) = delete;
-
-    /** Block until every party has arrived at this generation. */
-    void
-    arriveAndWait()
-    {
-        std::unique_lock<std::mutex> lock(_mutex);
-        std::uint64_t generation = _generation;
-        if (++_waiting == _parties) {
-            _waiting = 0;
-            ++_generation;
-            _cv.notify_all();
-            return;
-        }
-        _cv.wait(lock, [&] { return _generation != generation; });
-    }
-
-  private:
-    std::mutex _mutex;
-    std::condition_variable _cv;
-    std::size_t _parties;
-    std::size_t _waiting;
-    std::uint64_t _generation;
-};
-
-/**
- * Busy-waiting rendezvous for a fixed party of threads.
- *
- * Same contract as Barrier, but arrivals spin on an atomic generation
- * counter instead of sleeping on a condition variable. Use it when
- * rendezvous are frequent and the wait is short — the sharded System
- * crosses an epoch boundary every lookahead window (tens of
- * nanoseconds of model time, often microseconds of wall time), where
- * a futex sleep/wake per epoch would dominate the run. The release
- * store by the last arrival pairs with the acquire loads of the
- * spinners, so everything written before arriveAndWait() is visible
- * to every party after it returns.
- */
-class SpinBarrier
-{
-  public:
-    explicit SpinBarrier(std::size_t parties)
-        : _parties(parties), _arrived(0), _generation(0)
-    {
-    }
-    SpinBarrier(const SpinBarrier &) = delete;
-    SpinBarrier &operator=(const SpinBarrier &) = delete;
-
-    /** Block (spinning) until every party has arrived. */
-    void
-    arriveAndWait()
-    {
-        const std::uint64_t generation =
-            _generation.load(std::memory_order_acquire);
-        if (_arrived.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            _parties) {
-            _arrived.store(0, std::memory_order_relaxed);
-            _generation.store(generation + 1, std::memory_order_release);
-            return;
-        }
-        // Hybrid wait: a short pause-spin covers the common case where
-        // the stragglers are running on other cores, then fall back to
-        // yield so an oversubscribed party (more workers than cores)
-        // cedes the CPU to whoever the barrier is actually waiting on.
-        // Pure pause-spinning convoys catastrophically there: each
-        // crossing burns full scheduler timeslices per descheduled
-        // party.
-        unsigned spins = 0;
-        while (_generation.load(std::memory_order_acquire) == generation) {
-            if (++spins < kSpinsBeforeYield)
-                spinPause();
-            else
-                std::this_thread::yield();
-        }
-    }
-
-  private:
-    static constexpr unsigned kSpinsBeforeYield = 128;
-
-    static void spinPause()
-    {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#elif defined(__aarch64__)
-        asm volatile("yield" ::: "memory");
-#else
-        std::this_thread::yield();
-#endif
-    }
-
-    std::size_t _parties;
-    std::atomic<std::size_t> _arrived;
-    std::atomic<std::uint64_t> _generation;
 };
 
 /** Hardware thread count, never zero. */

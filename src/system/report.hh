@@ -116,20 +116,6 @@ struct SimReport
     {
         return memReads + totalBankWrites();
     }
-
-    /**
-     * Fold another shard's report into this one (post-join only; the
-     * sharded-kernel counterpart of the stats::* merge() ops).
-     * Additive tallies and energies sum; simTicks takes the furthest
-     * shard; capacity takes the worst shard; first-fault ticks take
-     * the earliest nonzero observation. Derived rates (ipc, mpki,
-     * averages, lifetime) are NOT recomputed here — they depend on
-     * model knowledge the report does not carry, so the caller
-     * recomputes them from the merged tallies. Workload/policy labels
-     * must match (panics otherwise): merging unrelated runs is a bug,
-     * not an aggregation.
-     */
-    void merge(const SimReport &other);
 };
 
 /**
@@ -137,8 +123,8 @@ struct SimReport
  * "name value" line each, doubles at full (%.17g) precision. Two
  * reports fingerprint identically iff every measured quantity is
  * byte-identical — the currency of the determinism audits
- * (tools/determinism_check, the sharded serial-vs-threaded gates, the
- * CI perf-smoke divergence check).
+ * (tools/determinism_check --threads, the perfbench digests, and via
+ * stateFingerprint() the golden pins).
  */
 std::string reportFingerprint(const SimReport &r);
 

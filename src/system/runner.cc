@@ -19,34 +19,6 @@ namespace
 {
 
 /**
- * A positive decimal count from environment variable @p name, or
- * @p fallback when it is unset or empty. strtoull alone would skip
- * leading whitespace, accept a sign ("-1" wraps to 2^64-1) and
- * saturate on overflow, so the text must start with a digit and the
- * value must fit @p max; anything else is fatal.
- */
-std::uint64_t
-envCount(const char *name, std::uint64_t fallback,
-         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
-{
-    const char *v = std::getenv(name);
-    if (v == nullptr || *v == '\0')
-        return fallback;
-    fatal_if(std::isdigit(static_cast<unsigned char>(*v)) == 0,
-             "%s must be a positive integer (got '%s')", name, v);
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(*end != '\0', "%s must be a positive integer (got '%s')",
-             name, v);
-    fatal_if(errno == ERANGE || parsed > max,
-             "%s is out of range (got '%s', max %llu)", name, v,
-             static_cast<unsigned long long>(max));
-    fatal_if(parsed == 0, "%s must be positive", name);
-    return parsed;
-}
-
-/**
  * Deterministic first-error collection across sweep workers.
  *
  * Workers record (sweep index, exception) and keep draining the queue;
@@ -97,31 +69,27 @@ deviceOverrideSlot()
     return slot;
 }
 
-/** Process-wide shard selection; -1 = unset (fall back to the
- * MELLOWSIM_SHARDS environment variable). Same confinement story as
- * deviceOverrideSlot. */
-int &
-shardOverrideSlot()
-{
-    // mlint: allow(confinement-global): written only by
-    // setShardOverride during argv/env processing, strictly before
-    // any ThreadGroup worker exists; read on the main thread by
-    // makeConfig. No concurrent access is possible.
-    static int slot = -1;
-    return slot;
-}
-
-unsigned
-parseShardCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    unsigned long parsed = std::strtoul(text, &end, 10);
-    fatal_if(end == text || *end != '\0',
-             "%s must be a non-negative integer (got '%s')", what, text);
-    return static_cast<unsigned>(parsed);
-}
-
 } // namespace
+
+std::uint64_t
+envCount(const char *name, std::uint64_t fallback, std::uint64_t max)
+{
+    const char *v = std::getenv(name);
+    if (v == nullptr || *v == '\0')
+        return fallback;
+    fatal_if(std::isdigit(static_cast<unsigned char>(*v)) == 0,
+             "%s must be a positive integer (got '%s')", name, v);
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long parsed = std::strtoull(v, &end, 10);
+    fatal_if(*end != '\0', "%s must be a positive integer (got '%s')",
+             name, v);
+    fatal_if(errno == ERANGE || parsed > max,
+             "%s is out of range (got '%s', max %llu)", name, v,
+             static_cast<unsigned long long>(max));
+    fatal_if(parsed == 0, "%s must be positive", name);
+    return parsed;
+}
 
 void
 setDeviceOverride(const std::string &nameOrPath)
@@ -159,52 +127,6 @@ applyDeviceArgs(int &argc, char **argv)
     argc = out;
 }
 
-void
-setShardOverride(unsigned shards)
-{
-    shardOverrideSlot() = static_cast<int>(shards);
-}
-
-void
-clearShardOverride()
-{
-    shardOverrideSlot() = -1;
-}
-
-unsigned
-activeShards()
-{
-    if (shardOverrideSlot() >= 0)
-        return static_cast<unsigned>(shardOverrideSlot());
-    const char *env = std::getenv("MELLOWSIM_SHARDS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    return parseShardCount(env, "MELLOWSIM_SHARDS");
-}
-
-void
-applyShardSelection(SystemConfig &cfg)
-{
-    cfg.shards = activeShards();
-}
-
-void
-applyShardArgs(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--shards") == 0) {
-            fatal_if(i + 1 >= argc, "--shards requires a value");
-            setShardOverride(parseShardCount(argv[++i], "--shards"));
-        } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-            setShardOverride(parseShardCount(argv[i] + 9, "--shards"));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-}
-
 SystemConfig
 makeConfig(const std::string &workload, const WritePolicyConfig &policy)
 {
@@ -215,7 +137,6 @@ makeConfig(const std::string &workload, const WritePolicyConfig &policy)
     cfg.warmupInstructions =
         envCount("MELLOWSIM_WARMUP", cfg.warmupInstructions);
     applyDeviceSelection(cfg);
-    applyShardSelection(cfg);
     return cfg;
 }
 

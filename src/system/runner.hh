@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -76,38 +77,16 @@ void applyDeviceSelection(SystemConfig &cfg);
 void applyDeviceArgs(int &argc, char **argv);
 
 /**
- * Select the shard count bound by every subsequent makeConfig():
- * SystemConfig::shards is set to @p shards (0 = monolithic, N >= 1 =
- * sharded on N workers; see system/sharded.hh). Takes precedence over
- * the MELLOWSIM_SHARDS environment variable; clearShardOverride()
- * restores env/default behaviour. Call before starting a sweep, not
- * concurrently with one.
+ * A positive decimal count from environment variable @p name, or
+ * @p fallback when it is unset or empty. strtoull alone would skip
+ * leading whitespace, accept a sign ("-1" wraps to 2^64-1) and
+ * saturate on overflow, so the text must start with a digit and the
+ * value must fit @p max; anything else (zero included) is fatal.
+ * Every MELLOWSIM_* count knob goes through this one parser.
  */
-void setShardOverride(unsigned shards);
-void clearShardOverride();
-
-/**
- * The shard count makeConfig() is currently honouring (override, else
- * MELLOWSIM_SHARDS, else 0 = the monolithic path).
- */
-unsigned activeShards();
-
-/**
- * Bind the active shard selection into an already-built configuration
- * (no-op when neither the override nor MELLOWSIM_SHARDS is set).
- * makeConfig() calls this automatically.
- */
-void applyShardSelection(SystemConfig &cfg);
-
-/**
- * Consume the shared shard flag from a command line, compacting argv
- * so positional arguments keep their place:
- *
- *   --shards <n> | --shards=<n>    setShardOverride(n)
- *
- * Unrecognised arguments are left for the caller.
- */
-void applyShardArgs(int &argc, char **argv);
+std::uint64_t
+envCount(const char *name, std::uint64_t fallback,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /** Run one (workload, policy) pair with the default configuration. */
 SimReport runOne(const std::string &workload,

@@ -8,7 +8,6 @@
 #include "check/install.hh"
 #include "check/registry.hh"
 #include "sim/logging.hh"
-#include "system/sharded.hh"
 #include "wear/wear_leveler.hh"
 
 namespace mellowsim
@@ -208,8 +207,6 @@ System::run()
 SimReport
 runSystem(const SystemConfig &config)
 {
-    if (config.shards >= 1)
-        return runShardedSystem(config);
     System sys(config);
     return sys.run();
 }

@@ -1,8 +1,8 @@
 // analyze-expect: handler-blocking
 // A scheduled callback reaches a helper that takes a mutex and then
-// blocks on an epoch rendezvous. A handler that blocks mid-epoch
-// stalls its whole shard — or deadlocks the epoch barrier outright —
-// so both sites must be rejected.
+// blocks waiting for other threads. A handler that blocks stalls its
+// whole simulation on another thread's progress — or deadlocks
+// outright — so both sites must be rejected.
 #include "sim/event_queue.hh"
 #include "sim/sync.hh"
 
@@ -19,13 +19,13 @@ drainSideTable()
 
 } // namespace
 
-void waitForEpoch();
+void waitForWorkers();
 
 void
 scheduleDrain(EventQueue &eventq)
 {
     eventq.scheduleIn(50, [] {
         drainSideTable();
-        waitForEpoch();
+        waitForWorkers();
     });
 }

@@ -18,7 +18,10 @@ touchTable()
 }
 
 void
-epochRendezvous(mellowsim::sync::Barrier &barrier)
+runWorkers()
 {
-    barrier.arriveAndWait();
+    mellowsim::sync::ThreadGroup workers(2);
+    workers.spawn([] { touchTable(); });
+    workers.spawn([] { touchTable(); });
+    workers.joinAll();
 }

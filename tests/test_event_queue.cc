@@ -369,21 +369,6 @@ TEST(EventQueue, TryAdvanceRefusesAtACancelledEntry)
     EXPECT_EQ(got, (std::vector<bool>{false, true}));
 }
 
-TEST(EventQueue, TryAdvanceStopsBelowTheStepHorizon)
-{
-    EventQueue eq;
-    std::vector<bool> got;
-    eq.schedule(0, [&] {
-        got.push_back(eq.tryAdvance(20));
-        got.push_back(eq.tryAdvance(19));
-    });
-    ASSERT_TRUE(eq.step(20));
-    EXPECT_EQ(got, (std::vector<bool>{false, true}));
-    EXPECT_EQ(eq.curTick(), 19u);
-    // The horizon belongs to that step only.
-    EXPECT_FALSE(eq.tryAdvance(25));
-}
-
 TEST(EventQueue, TryAdvanceStopsBelowTheRunHorizon)
 {
     EventQueue eq;

@@ -32,15 +32,12 @@ RULE_VALUE_ESCAPE = "value-escape"
 RULE_LAYERING = "layering"
 RULE_NONDET_HANDLER = "nondet-handler"
 RULE_REQUEST_LIFETIME = "request-lifetime"
-#: Shard-confinement family (tools/analyze/confinement.toml).
+#: Global-state confinement (tools/analyze/confinement.toml).
 RULE_CONFINEMENT_GLOBAL = "confinement-global"
-RULE_CONFINEMENT_SHARD = "confinement-shard"
-RULE_CONFINEMENT_PORT = "confinement-port"
 #: Parallel-protocol family (tools/analyze/protocol.toml).
 RULE_LOCK_ORDER = "lock-order"
 RULE_ATOMIC_ORDER = "atomic-order"
 RULE_HANDLER_BLOCKING = "handler-blocking"
-RULE_PORT_PROTOCOL = "port-protocol"
 
 ALL_RULES = (
     RULE_VALUE_ESCAPE,
@@ -48,12 +45,9 @@ ALL_RULES = (
     RULE_NONDET_HANDLER,
     RULE_REQUEST_LIFETIME,
     RULE_CONFINEMENT_GLOBAL,
-    RULE_CONFINEMENT_SHARD,
-    RULE_CONFINEMENT_PORT,
     RULE_LOCK_ORDER,
     RULE_ATOMIC_ORDER,
     RULE_HANDLER_BLOCKING,
-    RULE_PORT_PROTOCOL,
 )
 
 

@@ -1,4 +1,4 @@
-"""The four mellow-analyze rule families, computed over the Project IR.
+"""The mellow-analyze rule families, computed over the Project IR.
 
 Every rule returns a list of model.Finding; suppression filtering and
 output formatting happen in mellow_analyze.py. Rules consume only the
@@ -14,8 +14,6 @@ from collections import defaultdict
 from frontend_textual import strip_comments_and_strings
 from model import (
     RULE_CONFINEMENT_GLOBAL,
-    RULE_CONFINEMENT_PORT,
-    RULE_CONFINEMENT_SHARD,
     RULE_LAYERING,
     RULE_NONDET_HANDLER,
     RULE_REQUEST_LIFETIME,
@@ -359,12 +357,12 @@ def check_request_lifetime(project: Project, whitelists: dict) -> list[Finding]:
     return findings
 
 
-# --- Rules 5-7: shard confinement -----------------------------------
+# --- Rule 5: confinement of global state ----------------------------
 #
-# The confinement family enforces the concurrency model in DESIGN.md
-# §11 from the declarations in tools/analyze/confinement.toml. All
-# three rules are computed lexically over the shared IR file map, so
-# both frontends agree by construction.
+# Enforces the concurrency model in DESIGN.md §11 from the
+# declarations in tools/analyze/confinement.toml. Computed lexically
+# over the shared IR file map, so both frontends agree by
+# construction.
 
 #: Keywords that can never start a variable definition at namespace
 #: scope (filters function bodies, type definitions, using aliases...).
@@ -430,9 +428,8 @@ def check_confinement_global(project: Project, confinement: dict,
                              src_root: str = "src") -> list[Finding]:
     """Mutable static-storage state must be synchronized (atomic, a
     sync.hh type, or a manifest-listed type), thread-local, or const:
-    anything else is invisible shared state that a parallel sweep or
-    the sharded per-channel runtime (system/sharded.cc) would race
-    on."""
+    anything else is invisible shared state that a parallel sweep
+    (runConfigs) would race on."""
     sync_markers = _BUILTIN_SYNC_MARKERS + tuple(
         confinement.get("global", {}).get("synchronized_types", []))
 
@@ -486,78 +483,6 @@ def check_confinement_global(project: Project, confinement: dict,
     return findings
 
 
-def check_confinement_shard(project: Project, confinement: dict,
-                            src_root: str = "src") -> list[Finding]:
-    """Calls to declared mutators of shard-owned state from modules
-    outside the declared owners. Mutator names in the manifest must be
-    project-unique; the ChannelShard runtime (system/sharded.cc) is
-    written against exactly this ownership map."""
-    mutators: dict[str, tuple[str, tuple[str, ...]]] = {}
-    for entry in confinement.get("shard_owned", []):
-        owners = tuple(entry.get("owners", []))
-        for name in entry.get("mutators", []):
-            mutators[name] = (entry.get("type", "?"), owners)
-
-    findings = []
-    seen: set[tuple[str, int, str]] = set()
-    for func in project.functions:
-        module = _module_of(func.file, src_root)
-        if module is None:
-            continue
-        for callee, line in func.calls:
-            hit = mutators.get(callee)
-            if hit is None:
-                continue
-            type_name, owners = hit
-            if module in owners:
-                continue
-            key = (func.file, line, callee)
-            if key in seen:
-                continue
-            seen.add(key)
-            findings.append(Finding(
-                RULE_CONFINEMENT_SHARD, func.file, line,
-                f"{type_name}::{callee}() mutates shard-owned state "
-                f"from module \"{module}\"; only "
-                f"{sorted(owners)} may write it "
-                f"(confinement.toml [[shard_owned]])"))
-    return findings
-
-
-def check_confinement_port(project: Project, confinement: dict,
-                           src_root: str = "src") -> list[Finding]:
-    """References to a shard's internal types from consumer modules:
-    cross-shard communication must go through the declared seam
-    headers' port vocabulary, even when the layer manifest permits the
-    include."""
-    findings = []
-    for port in confinement.get("port", []):
-        internal = set(port.get("internal_modules", []))
-        trusted = set(port.get("trusted_modules", []))
-        seams = port.get("seam_headers", [])
-        word_res = {t: re.compile(r"\b" + re.escape(t) + r"\b")
-                    for t in port.get("internal_types", [])}
-        for path, lines in project.files.items():
-            module = _module_of(path, src_root)
-            if module is None or module in internal or module in trusted:
-                continue
-            clean = strip_comments_and_strings(lines)
-            reported: set[str] = set()
-            for i, line in enumerate(clean):
-                for name, word_re in word_res.items():
-                    if name in reported or not word_re.search(line):
-                        continue
-                    reported.add(name)
-                    findings.append(Finding(
-                        RULE_CONFINEMENT_PORT, path, i + 1,
-                        f"module \"{module}\" touches {name}, internal "
-                        f"to the \"{port.get('name', '?')}\" shard; "
-                        f"communicate through the declared seam "
-                        f"({', '.join(seams)}) "
-                        f"(confinement.toml [[port]])"))
-    return findings
-
-
 # The parallel-protocol family lives in rules_protocol.py; imported
 # here (after the helpers it reuses are defined) so RULE_CHECKERS
 # stays the single dispatch table.
@@ -565,13 +490,11 @@ from rules_protocol import (  # noqa: E402
     check_atomic_order,
     check_handler_blocking,
     check_lock_order,
-    check_port_protocol,
 )
 from model import (  # noqa: E402
     RULE_ATOMIC_ORDER,
     RULE_HANDLER_BLOCKING,
     RULE_LOCK_ORDER,
-    RULE_PORT_PROTOCOL,
 )
 
 RULE_CHECKERS = {
@@ -590,12 +513,6 @@ RULE_CHECKERS = {
     RULE_CONFINEMENT_GLOBAL:
         lambda project, layers, wl, conf, proto:
             check_confinement_global(project, conf),
-    RULE_CONFINEMENT_SHARD:
-        lambda project, layers, wl, conf, proto:
-            check_confinement_shard(project, conf),
-    RULE_CONFINEMENT_PORT:
-        lambda project, layers, wl, conf, proto:
-            check_confinement_port(project, conf),
     RULE_LOCK_ORDER:
         lambda project, layers, wl, conf, proto:
             check_lock_order(project, proto),
@@ -605,7 +522,4 @@ RULE_CHECKERS = {
     RULE_HANDLER_BLOCKING:
         lambda project, layers, wl, conf, proto:
             check_handler_blocking(project, proto),
-    RULE_PORT_PROTOCOL:
-        lambda project, layers, wl, conf, proto:
-            check_port_protocol(project, proto),
 }

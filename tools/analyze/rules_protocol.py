@@ -1,13 +1,13 @@
 """The parallel-protocol rule family (lock-order, atomic-order,
-handler-blocking, port-protocol), driven by tools/analyze/protocol.toml.
+handler-blocking), driven by tools/analyze/protocol.toml.
 
-These rules verify the properties conservative-lookahead PDES needs
-from the sharded kernel (DESIGN.md §13): a cycle-free whole-program
-lock graph, raw atomics confined to the sync.hh wrappers, handlers
-that never block, and cross-shard sends that carry a properly minted
-SendTime. Like the confinement family, every fact is computed
-lexically over the shared IR file map (plus the frontend-built call
-graph), so both frontends agree by construction.
+These rules verify what running independent Systems side by side
+(runConfigs, DESIGN.md §11) needs from the code: a cycle-free
+whole-program lock graph, raw atomics confined to the sync.hh
+wrappers, and event handlers that never block. Like the confinement
+rule, every fact is computed lexically over the shared IR file map
+(plus the frontend-built call graph), so both frontends agree by
+construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from model import (
     RULE_ATOMIC_ORDER,
     RULE_HANDLER_BLOCKING,
     RULE_LOCK_ORDER,
-    RULE_PORT_PROTOCOL,
     Finding,
     Project,
 )
@@ -88,7 +87,7 @@ def _cleaned(project: Project) -> dict[str, list[str]]:
             for p, ls in project.files.items()}
 
 
-# --- Rule 8: static deadlock-freedom (lock-order) -------------------
+# --- Rule 6: static deadlock-freedom (lock-order) -------------------
 
 
 def check_lock_order(project: Project, protocol: dict,
@@ -247,7 +246,7 @@ def check_lock_order(project: Project, protocol: dict,
     return findings
 
 
-# --- Rule 9: atomics discipline (atomic-order) ----------------------
+# --- Rule 7: atomics discipline (atomic-order) ----------------------
 
 _RAW_ATOMIC_RE = re.compile(r"\bstd\s*::\s*(?:atomic\b|atomic_\w+|"
                             r"memory_order\w*)")
@@ -312,16 +311,16 @@ def check_atomic_order(project: Project, protocol: dict,
     return findings
 
 
-# --- Rule 10: non-blocking handlers (handler-blocking) --------------
+# --- Rule 8: non-blocking handlers (handler-blocking) --------------
 
 
 def check_handler_blocking(project: Project, protocol: dict,
                            src_root: str = "src") -> list[Finding]:
-    """No mutex acquisition or blocking rendezvous may be reachable
-    from an EventQueue::schedule handler root: a handler that blocks
-    mid-epoch stalls its whole shard (or deadlocks the epoch barrier),
-    and lock-based handler ordering is exactly the nondeterminism the
-    kernel's (when, seq) total order exists to rule out."""
+    """No mutex acquisition or blocking call may be reachable from an
+    EventQueue::schedule handler root: a handler that blocks stalls
+    its whole simulation on another thread, and lock-based handler
+    ordering is exactly the nondeterminism the kernel's (when, seq)
+    total order exists to rule out."""
     cfg = protocol.get("handler_blocking", {})
     allowed_files = tuple(cfg.get("allowed_files", []))
     blocking_names = set(cfg.get("blocking_calls", []))
@@ -379,123 +378,6 @@ def check_handler_blocking(project: Project, protocol: dict,
                 RULE_HANDLER_BLOCKING, func.file, ln,
                 f"{what} in {label}, which is reachable from an event "
                 f"handler; handlers must never block — move the "
-                f"rendezvous to the epoch boundary "
+                f"synchronization out of the simulation "
                 f"(protocol.toml [handler_blocking])"))
-    return findings
-
-
-# --- Rule 11: lookahead-sound sends (port-protocol) -----------------
-
-_SENDTIME_CONSTRUCT_RE = re.compile(r"\bSendTime\s*[({]")
-_SENDTIME_CAST_RE = re.compile(
-    r"\b(?:static_cast|reinterpret_cast|const_cast|std::bit_cast)\s*"
-    r"<\s*SendTime\b")
-_SEND_CALL_RE = re.compile(r"[.>]\s*(?:trySend|send)\s*\(")
-_TICK_DECL_RE = re.compile(r"\bTick\s+([A-Za-z_]\w*)")
-_SENDTIME_DECL_RE = re.compile(r"\bSendTime\s+([A-Za-z_]\w*)")
-_LOOKAHEAD_DECL_RE = re.compile(r"\bLookahead\s+([A-Za-z_]\w*)")
-
-
-def _first_argument(clean: list[str], line_idx: int, open_col: int) -> str:
-    """Text of the first argument of the call whose '(' is at
-    (line_idx, open_col), scanning at most a few lines."""
-    depth = 0
-    buf = []
-    for i in range(line_idx, min(len(clean), line_idx + 4)):
-        text = clean[i]
-        start = open_col if i == line_idx else 0
-        for ch in text[start:]:
-            if ch == "(":
-                depth += 1
-                if depth == 1:
-                    continue
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    return "".join(buf)
-            elif ch == "," and depth == 1:
-                return "".join(buf)
-            if depth >= 1:
-                buf.append(ch)
-    return "".join(buf)
-
-
-def check_port_protocol(project: Project, protocol: dict,
-                        src_root: str = "src") -> list[Finding]:
-    """Cross-shard sends must carry a SendTime minted by
-    `now + Lookahead`. The type system enforces this at compile time;
-    this rule cross-checks every call site so a cast (or a fixture
-    that never compiles) cannot talk around it, and confines explicit
-    SendTime construction to the declared mint files."""
-    cfg = protocol.get("port_protocol", {})
-    mint_files = tuple(cfg.get("mint_files", ["src/sim/strong_types.hh"]))
-    cleaned = _cleaned(project)
-
-    # Project-wide declaration maps, with the frontend's ambiguity
-    # philosophy: a name classifies only when every declaration in the
-    # tree agrees on its type.
-    decls: dict[str, set[str]] = defaultdict(set)
-    for path, clean in cleaned.items():
-        for line in clean:
-            for m in _TICK_DECL_RE.finditer(line):
-                decls[m.group(1)].add("Tick")
-            for m in _SENDTIME_DECL_RE.finditer(line):
-                decls[m.group(1)].add("SendTime")
-            for m in _LOOKAHEAD_DECL_RE.finditer(line):
-                decls[m.group(1)].add("Lookahead")
-
-    def sole_type(name: str) -> str | None:
-        types = decls.get(name, set())
-        return next(iter(types)) if len(types) == 1 else None
-
-    findings = []
-    for path, clean in cleaned.items():
-        if _module_of(path, src_root) is None:
-            continue
-        minted_here = path.endswith(mint_files)
-        for i, line in enumerate(clean):
-            # (a) Explicit construction / casts outside the mint.
-            if not minted_here:
-                m = (_SENDTIME_CAST_RE.search(line)
-                     or _SENDTIME_CONSTRUCT_RE.search(line))
-                # `SendTime <name>` declarations are fine; only
-                # construction `SendTime(expr)` / `SendTime{expr}` and
-                # casts mint a value.
-                if m:
-                    findings.append(Finding(
-                        RULE_PORT_PROTOCOL, path, i + 1,
-                        "explicit SendTime construction outside the "
-                        "mint (src/sim/strong_types.hh); the only "
-                        "legal mint is `now + Lookahead` "
-                        "(protocol.toml [port_protocol])"))
-                    continue
-            # (b) Send call sites: the time argument must trace back
-            # to a SendTime.
-            for m in _SEND_CALL_RE.finditer(line):
-                arg = _first_argument(clean, i, line.find("(", m.start()))
-                arg = arg.strip()
-                if not arg:
-                    continue
-                idents = re.findall(r"[A-Za-z_]\w*", arg)
-                kinds = {sole_type(n) for n in idents}
-                if "SendTime" in kinds or "Lookahead" in kinds:
-                    continue  # properly minted (or delayed further)
-                bad = None
-                if re.fullmatch(r"[0-9][0-9'xXa-fA-F]*(?:[uU]?[lL]*)?",
-                                arg):
-                    bad = f"numeric literal `{arg}`"
-                elif (re.fullmatch(r"[A-Za-z_]\w*", arg)
-                      and sole_type(arg) == "Tick"):
-                    bad = f"raw Tick `{arg}`"
-                elif re.fullmatch(r"(?:\w+\s*\.\s*)?curTick\s*\(\s*\)",
-                                  arg):
-                    bad = f"raw `{arg}`"
-                if bad is None:
-                    continue
-                findings.append(Finding(
-                    RULE_PORT_PROTOCOL, path, i + 1,
-                    f"{bad} passed as a ShardPort send time; sends "
-                    f"take a SendTime minted via `now + Lookahead` so "
-                    f"every message respects the shard's lookahead "
-                    f"(protocol.toml [port_protocol])"))
     return findings

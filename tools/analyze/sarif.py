@@ -29,17 +29,7 @@ _RULE_DESCRIPTIONS = {
     "confinement-global":
         "Mutable static-storage state that is not std::atomic, a "
         "sync.hh type, thread_local or const races under the parallel "
-        "sweep and the sharded per-channel runtime "
-        "(tools/analyze/confinement.toml [global]).",
-    "confinement-shard":
-        "A declared mutator of shard-owned state is called from a "
-        "module outside the declared owners "
-        "(tools/analyze/confinement.toml [[shard_owned]]).",
-    "confinement-port":
-        "A shard's internal types are referenced from a consumer "
-        "module; cross-shard communication must go through the "
-        "declared message-port seam headers "
-        "(tools/analyze/confinement.toml [[port]]).",
+        "sweep (tools/analyze/confinement.toml [global]).",
     "lock-order":
         "A cycle in the whole-program lock-acquisition graph built "
         "from LockGuard scopes and MELLOW_REQUIRES annotations: a "
@@ -50,15 +40,10 @@ _RULE_DESCRIPTIONS = {
         "control flow instead of statistics "
         "(tools/analyze/protocol.toml [atomic_order]).",
     "handler-blocking":
-        "A mutex acquisition or blocking rendezvous reachable from an "
+        "A mutex acquisition or blocking call reachable from an "
         "EventQueue::schedule handler; a blocking handler stalls its "
-        "shard mid-epoch or deadlocks the epoch barrier "
+        "simulation on another thread "
         "(tools/analyze/protocol.toml [handler_blocking]).",
-    "port-protocol":
-        "A ShardPort send whose time argument is not a SendTime "
-        "minted via `now + Lookahead`, or an explicit SendTime "
-        "construction outside the mint "
-        "(tools/analyze/protocol.toml [port_protocol]).",
 }
 
 

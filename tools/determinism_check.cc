@@ -8,7 +8,7 @@
  * leaking into results, uninitialized memory, hidden global state —
  * shows up as a first-differing-line diff and a non-zero exit code.
  *
- * This is the gate any future parallelism work must keep green: the
+ * This is the gate any parallelism work must keep green: the
  * simulator's contract is that identical inputs produce bit-identical
  * outputs.
  *
@@ -23,21 +23,16 @@
  * the --threads sweep grid includes SoftWear and WoLFRaM entries of
  * its own.
  *
- * The --threads mode is the parallel-readiness gate: it first runs
- * the sharded-System gate — ONE 16-channel simulation partitioned
- * across ChannelShard tasks (system/sharded.hh), run with the serial
- * oracle (shards=1) and with threaded epochs, normal and
- * fault-injected, whose report fingerprints must be byte-identical
- * (the DESIGN.md §15 determinism contract; the toy ShardPort ring
- * that used to gate here lives on as tests/test_shard_port.cc's unit
- * test of the seam itself) — then builds a (workload x policy x seed)
- * sweep grid — fault injection layered on alternate entries so the
- * fault RNG is contended too — runs it once serially as the
- * reference, then again across N worker threads via
- * runConfigs(configs, N), and byte-compares every report fingerprint.
- * Any cross-thread state leak (a shared RNG, an unsynchronized global
- * tally, allocator-order dependence) shows up as a diff between the
- * serial and threaded sweeps.
+ * The --threads mode is the parallel-readiness gate: it builds a
+ * (workload x policy x seed) sweep grid — fault injection layered on
+ * alternate entries so the fault RNG is contended too, plus a
+ * 16-channel System, normal and fault-injected, so per-channel state
+ * is covered as well — runs it once serially as the reference, then
+ * again across N worker threads via runConfigs(configs, N), and
+ * byte-compares every report fingerprint. Any cross-thread state
+ * leak (a shared RNG, an unsynchronized global tally,
+ * allocator-order dependence) shows up as a diff between the serial
+ * and threaded sweeps.
  *
  * With MELLOWSIM_FP_DUMP=<path> the reference fingerprint is also
  * written to <path>, so two *builds* (e.g. before and after a kernel
@@ -144,68 +139,19 @@ layerLeveler(SystemConfig &cfg, WearLevelerKind kind)
 }
 
 /**
- * A 16-channel configuration for the sharded-System gate, scaled down
- * so the audit stays cheap: 1 GB total capacity (64 MB per channel)
- * and small caches so write-backs genuinely reach all 16 channels
- * inside a short run.
+ * A 16-channel System scaled down so the audit stays cheap: 1 GB
+ * total capacity (64 MB per channel) and small caches so write-backs
+ * genuinely reach all 16 channels inside a short run.
  */
-SystemConfig
-shardedGateConfig(std::uint64_t seed, bool faults,
-                  std::uint64_t instructions, std::uint64_t warmup)
+void
+layerSixteenChannels(SystemConfig &cfg)
 {
-    SystemConfig cfg;
     cfg.workloadName = "gups"; // random traffic hits every channel
-    cfg.policy = policies::fromName("BE-Mellow+SC+WQ");
-    cfg.instructions = instructions;
-    cfg.warmupInstructions = warmup;
-    cfg.seed = seed;
     cfg.numChannels = 16;
     cfg.memory.geometry.capacityBytes = 1ull << 30;
     cfg.hierarchy.l1.sizeBytes = 4 * 1024;
     cfg.hierarchy.l2.sizeBytes = 8 * 1024;
     cfg.hierarchy.llc.cache.sizeBytes = 16 * 1024;
-    if (faults)
-        layerFaults(cfg);
-    return cfg;
-}
-
-/**
- * Sharded-System gate: run the real model — front-end plus 16
- * ChannelShard tasks — under the serial oracle (shards=1) and under
- * threaded epochs, normal and fault-injected, and require
- * byte-identical report fingerprints (the DESIGN.md §15 contract any
- * parallel work must keep).
- */
-int
-runShardedGate(unsigned jobs, std::uint64_t instructions,
-               std::uint64_t warmup)
-{
-    // With one worker requested the "threaded" run would be the
-    // oracle again; always exercise the threaded epoch driver.
-    unsigned threaded_jobs = jobs < 2 ? 2 : jobs;
-    bool ok = true;
-    for (bool faults : {false, true}) {
-        SystemConfig cfg = shardedGateConfig(faults ? 7 : 1, faults,
-                                             instructions, warmup);
-        cfg.shards = 1;
-        std::string oracle = reportFingerprint(runSystem(cfg));
-        cfg.shards = threaded_jobs;
-        std::string threaded = reportFingerprint(runSystem(cfg));
-        if (oracle != threaded) {
-            ok = false;
-            std::fprintf(stderr,
-                         "FAIL: sharded 16-channel system (faults=%d) "
-                         "diverged between the serial oracle and "
-                         "threaded epochs (%u jobs)\n",
-                         faults ? 1 : 0, threaded_jobs);
-            reportFirstDiff(oracle, threaded);
-        }
-    }
-    if (ok)
-        std::printf("OK: sharded 16-channel system byte-identical "
-                    "between serial oracle and threaded epochs "
-                    "(%u jobs, normal + faults)\n", threaded_jobs);
-    return ok ? 0 : 1;
 }
 
 /**
@@ -252,15 +198,21 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
         layerLeveler(cfg, kind);
         configs.push_back(std::move(cfg));
     }
-
-    // The sharded System first: a divergence here points at the epoch
-    // protocol or the cross-shard seam, which would also explain any
-    // sweep divergence below. Scaled to a fraction of the sweep's
-    // instruction budget — one sharded run covers 16 channels.
-    if (runShardedGate(jobs, std::max<std::uint64_t>(
-                                 instructions / 4, 50'000),
-                       warmup) != 0)
-        return 1;
+    // Sixteen channels, normal and fault-injected: every channel's
+    // controller, wear and fault state must replay under contention.
+    // One run covers 16 channels, so a quarter of the budget suffices.
+    for (bool faults : {false, true}) {
+        SystemConfig cfg;
+        cfg.policy = policies::fromName("BE-Mellow+SC+WQ");
+        cfg.instructions = std::max<std::uint64_t>(instructions / 4,
+                                                   50'000);
+        cfg.warmupInstructions = warmup;
+        cfg.seed = configs.size() + 1;
+        layerSixteenChannels(cfg);
+        if (faults)
+            layerFaults(cfg);
+        configs.push_back(std::move(cfg));
+    }
 
     std::vector<SimReport> serial = runConfigs(configs, 1);
     std::vector<SimReport> threaded = runConfigs(configs, jobs);
@@ -283,8 +235,8 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
     if (!ok)
         return 1;
     std::printf("OK: %zu-config sweep grid (%" PRIu64
-                " instrs each) byte-identical between serial and "
-                "%u-thread runs\n",
+                " instrs each, a quarter on 16 channels) "
+                "byte-identical between serial and %u-thread runs\n",
                 configs.size(), instructions, jobs);
     return 0;
 }

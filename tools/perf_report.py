@@ -12,7 +12,9 @@ list, so regressions show up as a bend in the curve rather than a
 flaky gate. Re-running on the same commit replaces that commit's
 entry instead of duplicating it, and a legacy single-run file
 (schema_version 1) is migrated in place as the trajectory's first
-point.
+point. Each run's `host` records the machine, the CPU count and the
+CPU model and clock from /proc/cpuinfo, so points measured on
+different hosts can be told apart.
 
 Usage:
   tools/perf_report.py [--output BENCH_perf.json] [--skip-build]
@@ -99,6 +101,33 @@ def git_head_sha():
         return None
 
 
+def cpu_identity(path="/proc/cpuinfo"):
+    """(model name, clock in MHz) of the first CPU listed in `path`.
+
+    Either is None where the file or the field is missing (non-Linux
+    hosts, some ARM kernels). The clock is the kernel's current
+    reading, so it names the host rather than pinning its frequency.
+    """
+    model = mhz = None
+    try:
+        with open(path) as f:
+            for line in f:
+                if not line.strip():
+                    break  # end of the first processor's block
+                key, _, value = line.partition(":")
+                key, value = key.strip(), value.strip()
+                if key == "model name":
+                    model = value
+                elif key == "cpu MHz":
+                    try:
+                        mhz = round(float(value), 1)
+                    except ValueError:
+                        pass
+    except OSError:
+        pass
+    return model, mhz
+
+
 def load_trajectory(path):
     """Existing trajectory at `path`, migrating a v1 snapshot.
 
@@ -165,6 +194,7 @@ def main():
     metrics = run_micro_kernel(args.events, args.instrs)
     metrics["fig11_slice"] = run_fig11_slice(args.fig11_instrs)
 
+    cpu_model, cpu_mhz = cpu_identity()
     run_entry = {
         "git_sha": git_head_sha(),
         "date": time.strftime("%Y-%m-%d", time.gmtime()),
@@ -172,6 +202,8 @@ def main():
             "machine": platform.machine(),
             "system": platform.system(),
             "cpus": os.cpu_count(),
+            "cpu_model": cpu_model,
+            "cpu_mhz": cpu_mhz,
         },
         "config": {
             "preset": "release-lto",
