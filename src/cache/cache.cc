@@ -1,5 +1,8 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mellowsim
@@ -17,7 +20,8 @@ posBit(unsigned pos)
 
 } // namespace
 
-SetAssocCache::SetAssocCache(const CacheConfig &config) : _config(config)
+SetAssocCache::SetAssocCache(const CacheConfig &config)
+    : _config(config), _assoc(config.assoc)
 {
     fatal_if(config.assoc == 0, "%s: associativity must be >= 1",
              config.name.c_str());
@@ -32,8 +36,10 @@ SetAssocCache::SetAssocCache(const CacheConfig &config) : _config(config)
              "%s: number of sets (%llu) must be a power of two",
              config.name.c_str(),
              static_cast<unsigned long long>(_numSets));
-    _sets.assign(_numSets, std::vector<CacheLine>(config.assoc));
+    _tags.assign(_numSets * _assoc, kInvalidTag);
+    _stamps.assign(_numSets * _assoc, 0);
     _dirtyMasks.assign(_numSets, 0);
+    _eagerMasks.assign(_numSets, 0);
 }
 
 std::uint64_t
@@ -42,125 +48,151 @@ SetAssocCache::setIndex(LogicalAddr addr) const
     return blockNumber(addr) & (_numSets - 1);
 }
 
+unsigned
+SetAssocCache::find(std::uint64_t index, LogicalAddr block) const
+{
+    const LogicalAddr *tags = &_tags[index * _assoc];
+    for (unsigned pos = 0; pos < _assoc; ++pos) {
+        if (tags[pos] == block)
+            return pos;
+    }
+    return _assoc;
+}
+
 CacheAccessResult
 SetAssocCache::access(LogicalAddr addr, bool isWrite, bool updateLru,
                       std::uint32_t stamp)
 {
-    LogicalAddr block = blockAlign(addr);
+    const LogicalAddr block = blockAlign(addr);
     const std::uint64_t index = setIndex(addr);
-    auto &set = _sets[index];
-    std::uint64_t &mask = _dirtyMasks[index];
     _lastWriteWastedEager = false;
+    const unsigned pos = find(index, block);
+    if (pos == _assoc)
+        return {false, 0};
 
-    for (unsigned pos = 0; pos < set.size(); ++pos) {
-        CacheLine &line = set[pos];
-        if (!line.valid || line.blockAddr != block)
-            continue;
-        line.touchStamp = stamp;
-        if (isWrite) {
-            if (line.eagerCleaned) {
-                _lastWriteWastedEager = true;
-                line.eagerCleaned = false;
-            }
-            line.dirty = true;
-            mask |= posBit(pos);
+    const std::uint64_t base = index * _assoc;
+    std::uint64_t &dirty = _dirtyMasks[index];
+    std::uint64_t &eager = _eagerMasks[index];
+    _stamps[base + pos] = stamp;
+    if (isWrite) {
+        if ((eager & posBit(pos)) != 0) {
+            _lastWriteWastedEager = true;
+            eager &= ~posBit(pos);
         }
-        if (updateLru && pos != 0) {
-            CacheLine moved = line;
-            set.erase(set.begin() + pos);
-            set.insert(set.begin(), moved);
-            // Same rotation on the mask: positions 0..pos-1 move down
-            // the stack by one, position pos becomes MRU. For pos 63
-            // the "above" mask shifts out to 0, as it should.
-            const std::uint64_t above = ~((posBit(pos) << 1) - 1);
-            mask = (mask & above) | ((mask & (posBit(pos) - 1)) << 1) |
-                   ((mask >> pos) & 1);
-        }
-        return {true, pos};
+        dirty |= posBit(pos);
     }
-    return {false, 0};
+    if (updateLru && pos != 0) {
+        // Rotate positions 0..pos down the stack by one; the hit line
+        // becomes MRU. The masks rotate alike: for pos 63 the "above"
+        // mask shifts out to 0, as it should.
+        LogicalAddr *tags = &_tags[base];
+        std::uint32_t *stamps = &_stamps[base];
+        std::copy_backward(tags, tags + pos, tags + pos + 1);
+        std::copy_backward(stamps, stamps + pos, stamps + pos + 1);
+        tags[0] = block;
+        stamps[0] = stamp;
+        const std::uint64_t above = ~((posBit(pos) << 1) - 1);
+        auto rotate = [&](std::uint64_t m) {
+            return (m & above) | ((m & (posBit(pos) - 1)) << 1) |
+                   ((m >> pos) & 1);
+        };
+        dirty = rotate(dirty);
+        eager = rotate(eager);
+    }
+    return {true, pos};
 }
 
 bool
 SetAssocCache::probe(LogicalAddr addr) const
 {
-    LogicalAddr block = blockAlign(addr);
-    const auto &set = _sets[setIndex(addr)];
-    for (const CacheLine &line : set) {
-        if (line.valid && line.blockAddr == block)
-            return true;
+    return find(setIndex(addr), blockAlign(addr)) != _assoc;
+}
+
+CacheVictim
+SetAssocCache::insertAt(std::uint64_t index, LogicalAddr block,
+                        bool dirty, std::uint32_t stamp)
+{
+    const std::uint64_t base = index * _assoc;
+    const unsigned lru = _assoc - 1;
+    std::uint64_t &dirty_mask = _dirtyMasks[index];
+    std::uint64_t &eager_mask = _eagerMasks[index];
+
+    CacheVictim victim;
+    if (_tags[base + lru] != kInvalidTag) {
+        victim.valid = true;
+        victim.dirty = (dirty_mask & posBit(lru)) != 0;
+        victim.blockAddr = _tags[base + lru];
     }
-    return false;
+
+    // The LRU line leaves and every other line moves down one
+    // position; the new line is MRU.
+    LogicalAddr *tags = &_tags[base];
+    std::uint32_t *stamps = &_stamps[base];
+    std::copy_backward(tags, tags + lru, tags + _assoc);
+    std::copy_backward(stamps, stamps + lru, stamps + _assoc);
+    tags[0] = block;
+    stamps[0] = stamp;
+    dirty_mask = ((dirty_mask & ~posBit(lru)) << 1) |
+                 static_cast<std::uint64_t>(dirty);
+    eager_mask = (eager_mask & ~posBit(lru)) << 1;
+    return victim;
 }
 
 CacheVictim
 SetAssocCache::insert(LogicalAddr addr, bool dirty, std::uint32_t stamp)
 {
-    LogicalAddr block = blockAlign(addr);
-    const std::uint64_t index = setIndex(addr);
-    auto &set = _sets[index];
     panic_if(probe(addr), "%s: inserting a line already present",
              _config.name.c_str());
+    return insertAt(setIndex(addr), blockAlign(addr), dirty, stamp);
+}
 
-    CacheVictim victim;
-    const CacheLine &lru = set.back();
-    if (lru.valid) {
-        victim.valid = true;
-        victim.dirty = lru.dirty;
-        victim.blockAddr = lru.blockAddr;
-    }
-    set.pop_back();
-
-    CacheLine line;
-    line.blockAddr = block;
-    line.valid = true;
-    line.dirty = dirty;
-    line.touchStamp = stamp;
-    set.insert(set.begin(), line);
-    // The LRU line left and every other line moved down one position.
-    std::uint64_t &mask = _dirtyMasks[index];
-    mask = ((mask & ~posBit(_config.assoc - 1)) << 1) |
-           static_cast<std::uint64_t>(dirty);
-    return victim;
+CacheFill
+SetAssocCache::fill(LogicalAddr addr, bool dirty, std::uint32_t stamp)
+{
+    const LogicalAddr block = blockAlign(addr);
+    const std::uint64_t index = setIndex(addr);
+    if (find(index, block) != _assoc)
+        return {};
+    return {true, insertAt(index, block, dirty, stamp)};
 }
 
 bool
 SetAssocCache::cleanLineForEagerWrite(LogicalAddr addr)
 {
-    LogicalAddr block = blockAlign(addr);
     const std::uint64_t index = setIndex(addr);
-    auto &set = _sets[index];
-    for (unsigned pos = 0; pos < set.size(); ++pos) {
-        CacheLine &line = set[pos];
-        if (line.valid && line.blockAddr == block) {
-            if (!line.dirty)
-                return false;
-            line.dirty = false;
-            line.eagerCleaned = true;
-            _dirtyMasks[index] &= ~posBit(pos);
-            return true;
-        }
-    }
-    return false;
+    const unsigned pos = find(index, blockAlign(addr));
+    if (pos == _assoc || (_dirtyMasks[index] & posBit(pos)) == 0)
+        return false;
+    _dirtyMasks[index] &= ~posBit(pos);
+    _eagerMasks[index] |= posBit(pos);
+    return true;
 }
 
-const std::vector<CacheLine> &
+std::vector<CacheLine>
 SetAssocCache::set(std::uint64_t index) const
 {
     panic_if(index >= _numSets, "set index out of range");
-    return _sets[index];
+    std::vector<CacheLine> lines(_assoc);
+    for (unsigned pos = 0; pos < _assoc; ++pos) {
+        const LogicalAddr tag = blockAt(index, pos);
+        if (tag == kInvalidTag)
+            continue;
+        CacheLine &line = lines[pos];
+        line.blockAddr = tag;
+        line.valid = true;
+        line.dirty = (_dirtyMasks[index] & posBit(pos)) != 0;
+        line.eagerCleaned = (_eagerMasks[index] & posBit(pos)) != 0;
+        line.touchStamp = stampAt(index, pos);
+    }
+    return lines;
 }
 
 std::uint64_t
 SetAssocCache::countDirtyLines() const
 {
     std::uint64_t count = 0;
-    for (const auto &set : _sets) {
-        for (const CacheLine &line : set) {
-            if (line.valid && line.dirty)
-                ++count;
-        }
-    }
+    for (std::uint64_t mask : _dirtyMasks)
+        count += static_cast<std::uint64_t>(std::popcount(mask));
     return count;
 }
 

@@ -6,6 +6,14 @@
  * Mellow Writes profiler (Section IV-B1) counts hits per stack
  * position; position 0 is MRU, position (assoc-1) is LRU, matching
  * Figure 7 of the paper.
+ *
+ * Storage is flat: one tag array per cache holding every set's lines
+ * MRU..LRU, a parallel array of touch stamps, and per-set 64-bit
+ * masks of the dirty and eagerly cleaned stack positions. An invalid
+ * line holds kInvalidTag, which no block-aligned address equals, so
+ * a lookup is one compare per way. Lines are only ever inserted at
+ * MRU and never invalidated, so the valid lines of a set are always
+ * a prefix of it.
  */
 
 #ifndef MELLOWSIM_CACHE_CACHE_HH
@@ -31,7 +39,7 @@ struct CacheConfig
     Tick hitLatency = 0;
 };
 
-/** One cache line. */
+/** One cache line, as SetAssocCache::set() reports it. */
 struct CacheLine
 {
     LogicalAddr blockAddr{0}; ///< block-aligned address
@@ -66,6 +74,13 @@ struct CacheVictim
     LogicalAddr blockAddr{0};
 };
 
+/** Result of SetAssocCache::fill(). */
+struct CacheFill
+{
+    bool inserted = false; ///< the line was absent and is now at MRU
+    CacheVictim victim;    ///< valid only if inserted evicted a line
+};
+
 /**
  * The cache array. Purely functional state (no timing); the
  * Hierarchy composes arrays into a timed three-level system.
@@ -98,6 +113,12 @@ class SetAssocCache
                        std::uint32_t stamp = 0);
 
     /**
+     * insert() if @p addr is absent, else leave the set untouched:
+     * one lookup where probe() then insert() take two or three.
+     */
+    CacheFill fill(LogicalAddr addr, bool dirty, std::uint32_t stamp = 0);
+
+    /**
      * Mark the line holding @p addr clean and remember it was eagerly
      * cleaned. No-op if absent.
      * @retval true the line was present and dirty.
@@ -113,12 +134,25 @@ class SetAssocCache
     }
     [[nodiscard]] const CacheConfig &config() const { return _config; }
 
+    /** A copy of one set's lines ordered by recency: index 0 is MRU. */
+    [[nodiscard]] std::vector<CacheLine> set(std::uint64_t index) const;
+
     /**
-     * Lines of one set ordered by recency: index 0 is MRU. Exposed
-     * for the eager scanner's random-set walks.
+     * Block address at stack position @p pos of set @p index, or
+     * kInvalidTag. The eager scanner reads its candidate here.
      */
-    [[nodiscard]] const std::vector<CacheLine> &
-    set(std::uint64_t index) const;
+    [[nodiscard]] LogicalAddr
+    blockAt(std::uint64_t index, unsigned pos) const
+    {
+        return _tags[index * _assoc + pos];
+    }
+
+    /** Touch stamp at stack position @p pos of set @p index. */
+    [[nodiscard]] std::uint32_t
+    stampAt(std::uint64_t index, unsigned pos) const
+    {
+        return _stamps[index * _assoc + pos];
+    }
 
     /**
      * Valid dirty lines of set @p index as a bit mask over LRU stack
@@ -141,15 +175,31 @@ class SetAssocCache
         return _lastWriteWastedEager;
     }
 
+    /** Tag of an invalid line; not block-aligned, so never matched. */
+    static constexpr LogicalAddr kInvalidTag{~Addr{0}};
+
   private:
     [[nodiscard]] std::uint64_t setIndex(LogicalAddr addr) const;
 
+    /** Stack position of @p block in set @p index, or assoc() if absent. */
+    [[nodiscard]] unsigned find(std::uint64_t index,
+                                LogicalAddr block) const;
+
+    /** Insert the absent @p block at MRU of set @p index. */
+    CacheVictim insertAt(std::uint64_t index, LogicalAddr block,
+                         bool dirty, std::uint32_t stamp);
+
     CacheConfig _config;
+    unsigned _assoc;
     std::uint64_t _numSets;
-    /** _sets[s] ordered MRU..LRU. Invalid lines sit at the tail. */
-    std::vector<std::vector<CacheLine>> _sets;
-    /** dirtyMask() per set, updated with every change to _sets. */
+    /** Every set's tags, set s at [s * assoc, (s + 1) * assoc), MRU first. */
+    std::vector<LogicalAddr> _tags;
+    /** Touch stamp of each line, parallel to _tags. */
+    std::vector<std::uint32_t> _stamps;
+    /** dirtyMask() per set. */
     std::vector<std::uint64_t> _dirtyMasks;
+    /** Per set, the stack positions holding eagerly cleaned lines. */
+    std::vector<std::uint64_t> _eagerMasks;
     bool _lastWriteWastedEager = false;
 };
 

@@ -1,7 +1,5 @@
 #include "cache/hierarchy.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace mellowsim
@@ -16,16 +14,19 @@ Hierarchy::Hierarchy(EventQueue &eventq, const HierarchyConfig &config,
 {
     fatal_if(config.llcMshrs == 0, "hierarchy needs >= 1 MSHR");
     _waiters.reserve(config.llcMshrs);
+    _liveMshrs.reserve(config.llcMshrs);
+    _freeMshrs.reserve(config.llcMshrs);
+    for (std::uint32_t i = config.llcMshrs; i-- > 0;)
+        _freeMshrs.push_back(i);
 }
 
-Hierarchy::Mshr *
-Hierarchy::findMshr(LogicalAddr block)
+std::size_t
+Hierarchy::findLive(LogicalAddr block) const
 {
-    for (Mshr &m : _mshrs) {
-        if (m.valid && m.block == block)
-            return &m;
-    }
-    return nullptr;
+    std::size_t i = 0;
+    while (i < _liveMshrs.size() && _mshrs[_liveMshrs[i]].block != block)
+        ++i;
+    return i;
 }
 
 void
@@ -62,7 +63,7 @@ Hierarchy::writeIntoL2(LogicalAddr blockAddr)
         _l2.access(blockAddr, /*isWrite=*/true, /*updateLru=*/false);
     if (res.hit)
         return;
-    CacheVictim victim = _l2.insert(blockAddr, /*dirty=*/true);
+    CacheVictim victim = _l2.fill(blockAddr, /*dirty=*/true).victim;
     if (victim.valid && victim.dirty)
         writeIntoLlc(victim.blockAddr);
 }
@@ -70,17 +71,15 @@ Hierarchy::writeIntoL2(LogicalAddr blockAddr)
 void
 Hierarchy::fillUpper(LogicalAddr blockAddr, bool dirtyInL1)
 {
-    if (!_l2.probe(blockAddr)) {
-        CacheVictim victim = _l2.insert(blockAddr, /*dirty=*/false);
-        if (victim.valid && victim.dirty)
-            writeIntoLlc(victim.blockAddr);
-    }
-    if (!_l1.probe(blockAddr)) {
-        CacheVictim victim = _l1.insert(blockAddr, dirtyInL1);
-        if (victim.valid && victim.dirty)
-            writeIntoL2(victim.blockAddr);
-    } else if (dirtyInL1) {
-        _l1.access(blockAddr, /*isWrite=*/true, /*updateLru=*/false);
+    CacheVictim l2_victim = _l2.fill(blockAddr, /*dirty=*/false).victim;
+    if (l2_victim.valid && l2_victim.dirty)
+        writeIntoLlc(l2_victim.blockAddr);
+    CacheFill l1 = _l1.fill(blockAddr, dirtyInL1);
+    if (!l1.inserted) {
+        if (dirtyInL1)
+            _l1.access(blockAddr, /*isWrite=*/true, /*updateLru=*/false);
+    } else if (l1.victim.valid && l1.victim.dirty) {
+        writeIntoL2(l1.victim.blockAddr);
     }
 }
 
@@ -102,11 +101,9 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
     if (l2_res.hit) {
         ++_stats.l2Hits;
         // Move the line up into L1.
-        if (!_l1.probe(block)) {
-            CacheVictim victim = _l1.insert(block, isWrite);
-            if (victim.valid && victim.dirty)
-                writeIntoL2(victim.blockAddr);
-        }
+        CacheVictim victim = _l1.fill(block, isWrite).victim;
+        if (victim.valid && victim.dirty)
+            writeIntoL2(victim.blockAddr);
         return {AccessOutcome::Hit,
                 _l1.hitLatency() + _l2.hitLatency()};
     }
@@ -122,23 +119,23 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
     }
 
     // LLC miss: merge into an outstanding MSHR if possible.
-    if (Mshr *merged = findMshr(block)) {
+    if (std::size_t live = findLive(block); live < _liveMshrs.size()) {
         ++_stats.mshrMerges;
-        addWaiter(*merged, isWrite, std::move(done));
+        addWaiter(_mshrs[_liveMshrs[live]], isWrite, std::move(done));
         return {AccessOutcome::Miss, 0};
     }
-    if (_liveMshrs >= _mshrs.size()) {
+    if (_freeMshrs.empty()) {
         ++_stats.blocked;
         _blockedEpisode = true;
         return {AccessOutcome::Blocked, 0};
     }
 
     ++_stats.llcMisses;
-    Mshr &fresh = *std::find_if(_mshrs.begin(), _mshrs.end(),
-                                [](const Mshr &m) { return !m.valid; });
-    fresh.valid = true;
+    const std::uint32_t slot = _freeMshrs.back();
+    _freeMshrs.pop_back();
+    _liveMshrs.push_back(slot);
+    Mshr &fresh = _mshrs[slot];
     fresh.block = block;
-    ++_liveMshrs;
     addWaiter(fresh, isWrite, std::move(done));
 
     // The memory read departs after the full lookup path.
@@ -154,20 +151,23 @@ Hierarchy::prime(LogicalAddr addr, bool isWrite)
     LogicalAddr block = blockAlign(addr);
     // Victims dropped deliberately: warm-up only.
     if (!_l1.access(block, isWrite).hit)
-        (void)_l1.insert(block, isWrite);
+        (void)_l1.fill(block, isWrite);
     if (!_l2.access(block, false).hit)
-        (void)_l2.insert(block, false);
+        (void)_l2.fill(block, false);
     _llc.prime(block, isWrite);
 }
 
 void
 Hierarchy::onFill(LogicalAddr blockAddr)
 {
-    Mshr *mshr = findMshr(blockAddr);
-    panic_if(mshr == nullptr, "fill for an unknown MSHR");
-    std::uint32_t head = mshr->head;
-    *mshr = Mshr{};
-    --_liveMshrs;
+    const std::size_t live = findLive(blockAddr);
+    panic_if(live == _liveMshrs.size(), "fill for an unknown MSHR");
+    const std::uint32_t slot = _liveMshrs[live];
+    const std::uint32_t head = _mshrs[slot].head;
+    _mshrs[slot] = Mshr{};
+    _liveMshrs[live] = _liveMshrs.back();
+    _liveMshrs.pop_back();
+    _freeMshrs.push_back(slot);
 
     bool any_store = false;
     for (std::uint32_t i = head; i != kNoWaiter; i = _waiters[i].next)

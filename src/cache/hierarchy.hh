@@ -110,7 +110,7 @@ class Hierarchy
     /** Outstanding LLC misses (MSHR occupancy). */
     [[nodiscard]] std::size_t outstandingMisses() const
     {
-        return _liveMshrs;
+        return _liveMshrs.size();
     }
 
   private:
@@ -129,13 +129,12 @@ class Hierarchy
     struct Mshr
     {
         LogicalAddr block;
-        bool valid = false;
         std::uint32_t head = kNoWaiter;
         std::uint32_t tail = kNoWaiter;
     };
 
-    /** Live MSHR for @p block, or nullptr. */
-    Mshr *findMshr(LogicalAddr block);
+    /** Position of @p block's MSHR in _liveMshrs, or its size. */
+    [[nodiscard]] std::size_t findLive(LogicalAddr block) const;
     /** Append a waiter to @p mshr's list, reusing a freed node. */
     void addWaiter(Mshr &mshr, bool isWrite, Callback done);
 
@@ -153,12 +152,14 @@ class Hierarchy
     Llc _llc;
 
     /**
-     * Outstanding LLC misses: llcMshrs slots, looked up by a linear
-     * scan. Waiters live in a grow-only pool threaded by a free list,
-     * so after warm-up a miss allocates nothing.
+     * Outstanding LLC misses: llcMshrs slots. The live ones are
+     * listed in _liveMshrs, which a lookup scans; the rest wait on
+     * _freeMshrs. Waiters live in a grow-only pool threaded by a free
+     * list, so after warm-up a miss allocates nothing.
      */
     std::vector<Mshr> _mshrs;
-    std::size_t _liveMshrs = 0;
+    std::vector<std::uint32_t> _liveMshrs;
+    std::vector<std::uint32_t> _freeMshrs;
     std::vector<MshrWaiter> _waiters;
     std::uint32_t _freeWaiter = kNoWaiter;
     bool _blockedEpisode = false;

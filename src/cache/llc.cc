@@ -23,7 +23,8 @@ Llc::Llc(EventQueue &eventq, const LlcConfig &config,
     if (_config.eagerEnabled) {
         fatal_if(_config.scanInterval == 0,
                  "eager scan interval must be positive");
-        _eventq.scheduleIn(_config.scanInterval, [this] { onScan(); });
+        _scan = _eventq.addTimer([this] { onScan(); });
+        _eventq.arm(_scan, _eventq.curTick() + _config.scanInterval);
     }
 }
 
@@ -89,16 +90,15 @@ Llc::writebackFromUpper(LogicalAddr addr)
     ++_stats.misses;
     _profiler.notifyMiss();
     // Write-allocate the full-line write back.
-    handleVictim(_array.insert(addr, /*dirty=*/true, _period));
+    handleVictim(_array.fill(addr, /*dirty=*/true, _period).victim);
 }
 
 void
 Llc::fillFromMemory(LogicalAddr addr)
 {
-    // A concurrent upper-level write back may have raced the fill in.
-    if (_array.probe(addr))
-        return;
-    handleVictim(_array.insert(addr, /*dirty=*/false, _period));
+    // A concurrent upper-level write back may have raced the fill in;
+    // then fill() leaves the line alone and reports no victim.
+    handleVictim(_array.fill(addr, /*dirty=*/false, _period).victim);
 }
 
 void
@@ -107,15 +107,15 @@ Llc::prime(LogicalAddr addr, bool dirty)
     CacheAccessResult res = _array.access(addr, dirty);
     if (!res.hit) {
         // Victim dropped deliberately: warm-up only.
-        (void)_array.insert(addr, dirty);
+        (void)_array.fill(addr, dirty);
     }
 }
 
-const CacheLine *
+std::optional<LogicalAddr>
 Llc::scanPoll()
 {
     if (!_controller.eagerQueueHasSpace())
-        return nullptr;
+        return std::nullopt;
     ++_stats.eagerScans;
 
     // UselessLru considers dirty lines from the first useless stack
@@ -124,27 +124,26 @@ Llc::scanPoll()
                               ? _profiler.uselessFrom()
                               : 0;
     if (from >= _array.assoc())
-        return nullptr; // nothing is useless this period
+        return std::nullopt; // nothing is useless this period
 
     const std::uint64_t set_idx = _rng.nextBounded(_array.numSets());
     std::uint64_t dirty = _array.dirtyMask(set_idx) >> from << from;
     if (dirty == 0)
-        return nullptr; // no dirty line where a candidate could be
+        return std::nullopt; // no dirty line where a candidate could be
 
     // Least likely to be used again: take candidates from the LRU end.
-    const auto &set = _array.set(set_idx);
     while (dirty != 0) {
         const unsigned pos =
             static_cast<unsigned>(std::bit_width(dirty)) - 1;
-        const CacheLine &line = set[pos];
+        const std::uint32_t stamp = _array.stampAt(set_idx, pos);
         if (_config.selector == EagerSelector::UselessLru ||
-            (_period >= line.touchStamp &&
-             _period - line.touchStamp >= _config.deadAfterPeriods)) {
-            return &line;
+            (_period >= stamp &&
+             _period - stamp >= _config.deadAfterPeriods)) {
+            return _array.blockAt(set_idx, pos);
         }
         dirty &= ~(std::uint64_t{1} << pos);
     }
-    return nullptr;
+    return std::nullopt;
 }
 
 void
@@ -157,14 +156,14 @@ Llc::onScan()
     // event is always pending, so a batch ends at the latest there.
     for (;;) {
         const Tick next = _eventq.curTick() + _config.scanInterval;
-        const CacheLine *line = scanPoll();
-        if (line == nullptr && _eventq.tryAdvance(next))
+        const std::optional<LogicalAddr> candidate = scanPoll();
+        if (!candidate && _eventq.tryAdvance(next))
             continue;
-        // Schedule the successor before the write, which may schedule
+        // Arm the successor before the write, which may schedule
         // same-tick controller events after it.
-        _eventq.schedule(next, [this] { onScan(); });
-        if (line != nullptr && _controller.eagerWrite(line->blockAddr)) {
-            _array.cleanLineForEagerWrite(line->blockAddr);
+        _eventq.arm(_scan, next);
+        if (candidate && _controller.eagerWrite(*candidate)) {
+            _array.cleanLineForEagerWrite(*candidate);
             ++_stats.eagerSent;
         }
         return;

@@ -25,6 +25,7 @@
 #define MELLOWSIM_CACHE_LLC_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -143,17 +144,17 @@ class Llc
   private:
     void onSamplePeriod();
     /**
-     * Scan event: runs polls inline until one finds a candidate or
-     * another event is due first, then schedules the next poll.
+     * Scan timer: runs polls inline until one finds a candidate or
+     * another event is due first, then re-arms for the next poll.
      */
     void onScan();
     /**
      * One poll of the scanner: the eager-queue gate, then a random
      * set's least-recently-used candidate under the active selector.
-     * @return The candidate line, or nullptr when the poll sends
-     *         nothing.
+     * @return The candidate's block address, or nothing when the poll
+     *         sends nothing.
      */
-    [[nodiscard]] const CacheLine *scanPoll();
+    [[nodiscard]] std::optional<LogicalAddr> scanPoll();
     void handleVictim(const CacheVictim &victim);
 
     EventQueue &_eventq;
@@ -165,6 +166,8 @@ class Llc
     LlcStats _stats;
     std::vector<std::uint64_t> _cumHits;
     std::uint32_t _period = 0;
+    /** The eager scan's poll timer (registered only when enabled). */
+    TimerHandle _scan;
 };
 
 } // namespace mellowsim

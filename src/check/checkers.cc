@@ -62,6 +62,7 @@ EventQueueChecker::capture(const EventQueue &eventq)
     s.minPendingTick = eventq.minPendingTick();
     s.rawHeapSize = eventq.rawHeapSize();
     s.numPending = eventq.numPending();
+    s.armedTimers = eventq.numArmedTimers();
     return s;
 }
 
@@ -78,16 +79,21 @@ EventQueueChecker::evaluate(const Snapshot &s, Tick lastAuditTick,
     }
     if (s.minPendingTick < s.curTick) {
         sink.add(logFormat(
-            "pending event in the past: earliest heap entry at tick "
-            "%llu but curTick is %llu",
+            "pending event in the past: earliest heap entry or timer "
+            "at tick %llu but curTick is %llu",
             static_cast<unsigned long long>(s.minPendingTick),
             static_cast<unsigned long long>(s.curTick)));
     }
-    if (s.rawHeapSize < s.numPending) {
+    // Every live event owns a heap entry; armed timers own none.
+    if (s.armedTimers > s.numPending) {
+        sink.add(logFormat("event bookkeeping skew: %zu armed timers "
+                           "but only %zu pending in all",
+                           s.armedTimers, s.numPending));
+    } else if (s.rawHeapSize < s.numPending - s.armedTimers) {
         sink.add(logFormat(
             "event bookkeeping skew: %zu live events but only %zu "
             "heap entries",
-            s.numPending, s.rawHeapSize));
+            s.numPending - s.armedTimers, s.rawHeapSize));
     }
 }
 

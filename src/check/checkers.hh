@@ -54,7 +54,10 @@ class EventQueueChecker : public InvariantChecker
         Tick curTick = 0;
         Tick minPendingTick = MaxTick;
         std::size_t rawHeapSize = 0;
+        /** Pending events plus armed timers. */
         std::size_t numPending = 0;
+        /** Armed timers; they sit outside the event heap. */
+        std::size_t armedTimers = 0;
     };
 
     static Snapshot capture(const EventQueue &eventq);

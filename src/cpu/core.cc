@@ -10,7 +10,7 @@ namespace mellowsim
 TraceCore::TraceCore(EventQueue &eventq, const CoreConfig &config,
                      Workload &workload, Hierarchy &hierarchy)
     : _eventq(eventq), _config(config), _workload(workload),
-      _hierarchy(hierarchy)
+      _hierarchy(hierarchy), _wake(eventq.addTimer([this] { process(); }))
 {
     fatal_if(config.clockPeriod == 0, "core clock period must be > 0");
     fatal_if(config.issueWidth == 0, "core issue width must be >= 1");
@@ -31,7 +31,7 @@ TraceCore::start(std::uint64_t instrLimit)
     fatal_if(instrLimit == 0, "instruction limit must be positive");
     _started = true;
     _instrLimit = instrLimit;
-    _eventq.scheduleIn(0, [this] { process(); });
+    _eventq.arm(_wake, _eventq.curTick());
 }
 
 double
@@ -157,7 +157,10 @@ TraceCore::process()
         // Never issue into the hierarchy ahead of simulated time.
         Tick now = _eventq.curTick();
         if (_dispatchTick > now) {
-            _eventq.schedule(_dispatchTick, [this] { process(); });
+            // process() is re-entered only through a stall flag, and
+            // none is set here, so no wake-up can still be pending.
+            panic_if(_eventq.armed(_wake), "core wake-up armed twice");
+            _eventq.arm(_wake, _dispatchTick);
             return;
         }
 

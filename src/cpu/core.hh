@@ -126,6 +126,8 @@ class TraceCore
     CoreConfig _config;
     Workload &_workload;
     Hierarchy &_hierarchy;
+    /** Re-enters process() at the dispatch tick. */
+    TimerHandle _wake;
 
     std::uint64_t _instrLimit = 0;
     bool _started = false;

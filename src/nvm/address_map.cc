@@ -37,8 +37,12 @@ AddressMap::AddressMap(const MemGeometry &geometry) : _geometry(geometry)
                  static_cast<std::uint64_t>(geometry.numBanks) *
                      geometry.interleaveBytes,
              "capacity smaller than one interleave chunk per bank");
-    _blocksPerRowBuffer = geometry.rowBufferBytes / kBlockSize;
-    _blocksPerChunk = geometry.interleaveBytes / kBlockSize;
+    _capacity = Divisor(geometry.capacityBytes);
+    _pageBytes = Divisor(geometry.pageBytes);
+    _blocksPerRowBuffer = Divisor(geometry.rowBufferBytes / kBlockSize);
+    _blocksPerChunk = Divisor(geometry.interleaveBytes / kBlockSize);
+    _numBanks = Divisor(geometry.numBanks);
+    _banksPerRank = Divisor(geometry.banksPerRank());
 
     if (geometry.pageScramble) {
         fatal_if(geometry.pageBytes < kBlockSize,
@@ -57,13 +61,13 @@ AddressMap::AddressMap(const MemGeometry &geometry) : _geometry(geometry)
 LogicalAddr
 AddressMap::translate(LogicalAddr addr) const
 {
-    Addr raw = addr.value() % _geometry.capacityBytes;
+    Addr raw = _capacity.rem(addr.value());
     // Fewer than four pages: nothing meaningful to permute.
     if (!_geometry.pageScramble || _pageBits < 2)
         return LogicalAddr(raw);
 
-    std::uint64_t page = raw / _geometry.pageBytes;
-    std::uint64_t offset = raw % _geometry.pageBytes;
+    std::uint64_t page = _pageBytes.quot(raw);
+    std::uint64_t offset = _pageBytes.rem(raw);
 
     // Unbalanced Feistel network over the page index: each round
     // XOR-masks one half with a hash of the other, which is a
@@ -89,15 +93,16 @@ DecodedAddr
 AddressMap::decode(LogicalAddr addr) const
 {
     std::uint64_t block = translate(addr).value() >> kBlockShift;
-    std::uint64_t chunk = block / _blocksPerChunk;
-    std::uint64_t offset = block % _blocksPerChunk;
+    std::uint64_t chunk = _blocksPerChunk.quot(block);
+    std::uint64_t offset = _blocksPerChunk.rem(block);
 
     DecodedAddr d;
-    d.bank = BankId(static_cast<unsigned>(chunk % _geometry.numBanks));
-    d.rank = d.bank.value() / _geometry.banksPerRank();
-    d.blockInBank = LineIndex(
-        chunk / _geometry.numBanks * _blocksPerChunk + offset);
-    d.rowTag = d.blockInBank.value() / _blocksPerRowBuffer;
+    d.bank = BankId(static_cast<unsigned>(_numBanks.rem(chunk)));
+    d.rank = static_cast<unsigned>(_banksPerRank.quot(d.bank.value()));
+    d.blockInBank = LineIndex(_numBanks.quot(chunk) *
+                                  _blocksPerChunk.divisor() +
+                              offset);
+    d.rowTag = _blocksPerRowBuffer.quot(d.blockInBank.value());
     return d;
 }
 

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 
+#include "sim/divisor.hh"
 #include "sim/strong_types.hh"
 #include "sim/types.hh"
 
@@ -89,8 +90,14 @@ class AddressMap
 
   private:
     MemGeometry _geometry;
-    std::uint64_t _blocksPerRowBuffer;
-    std::uint64_t _blocksPerChunk;
+    // The geometry's divisors, so decode shifts and masks where it
+    // can (every shipped device) instead of dividing.
+    Divisor _capacity;
+    Divisor _pageBytes;
+    Divisor _blocksPerRowBuffer;
+    Divisor _blocksPerChunk;
+    Divisor _numBanks;
+    Divisor _banksPerRank;
     std::uint64_t _numPages = 0;
     unsigned _pageBits = 0;
 };

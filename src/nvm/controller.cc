@@ -42,7 +42,8 @@ MemoryController::MemoryController(EventQueue &eventq,
           }(),
           _endurance),
       _energy(config.energy),
-      _levelers(config.geometry.numBanks)
+      _levelers(config.geometry.numBanks),
+      _pass(eventq.addTimer([this] { trySchedule(); }))
 {
     fatal_if(config.drainLowThreshold >= config.writeQueueSize,
              "drain low threshold (%u) must be below the write queue "
@@ -205,16 +206,9 @@ MemoryController::requestSchedule(Tick when)
     Tick now = _eventq.curTick();
     if (when < now)
         when = now;
-    if (_scheduleEvent != InvalidEventHandle) {
-        if (_scheduleAt <= when)
-            return;
-        _eventq.deschedule(_scheduleEvent);
-    }
-    _scheduleAt = when;
-    auto pass = [this] { trySchedule(); };
-    static_assert(EventQueue::fitsInline<decltype(pass)>(),
-                  "scheduler-pass callback must use the inline slot");
-    _scheduleEvent = _eventq.schedule(when, std::move(pass));
+    if (_eventq.armed(_pass) && _eventq.armedAt(_pass) <= when)
+        return;
+    _eventq.arm(_pass, when);
 }
 
 void
@@ -623,9 +617,6 @@ MemoryController::onWriteComplete(BankId bank)
 void
 MemoryController::trySchedule()
 {
-    _scheduleEvent = InvalidEventHandle;
-    _scheduleAt = MaxTick;
-
     Tick now = _eventq.curTick();
     updateDrainState(now);
 
@@ -639,7 +630,7 @@ MemoryController::trySchedule()
     // requeue cancelled writes. The snapshots are copy-assigned into
     // member scratch masks of the same size, so the vector storage is
     // reused and a pass allocates nothing. A pass never re-enters
-    // itself: requestSchedule only schedules the next one.
+    // itself: requestSchedule only arms the next one.
     Tick next_wake = MaxTick;
     _readableScratch = _readQ.nonEmptyBanks();
     _readableScratch.forEach(

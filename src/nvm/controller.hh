@@ -273,7 +273,10 @@ class MemoryController : public MemoryPort
     /** Run one scheduling pass; issues everything issueable now. */
     void trySchedule();
 
-    /** Request a (deduplicated) scheduling pass at tick @p when. */
+    /**
+     * Request a scheduling pass at tick @p when: arms the pass timer
+     * unless it is already armed at or before @p when.
+     */
     void requestSchedule(Tick when);
 
     /** Issue the oldest read for @p bank if possible. */
@@ -377,10 +380,8 @@ class MemoryController : public MemoryPort
 
     MemControllerStats _stats;
 
-    /** Dedup state for the scheduler event. */
-    EventHandle _scheduleEvent = InvalidEventHandle;
-    Tick _scheduleAt = MaxTick;
-    bool _inSchedulePass = false;
+    /** The scheduling pass: at most one armed, at its earliest tick. */
+    TimerHandle _pass;
 };
 
 } // namespace mellowsim

@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "nvm/address_map.hh"
+#include "sim/divisor.hh"
 #include "sim/logging.hh"
 #include "sim/strong_types.hh"
 #include "sim/types.hh"
@@ -38,7 +39,11 @@ class ChannelInterleave
                  "capacity must divide evenly across channels");
     }
 
-    [[nodiscard]] unsigned numChannels() const { return _numChannels; }
+    [[nodiscard]] unsigned
+    numChannels() const
+    {
+        return static_cast<unsigned>(_numChannels.divisor());
+    }
 
     /** Which channel serves @p addr. */
     [[nodiscard]] ChannelId
@@ -48,9 +53,9 @@ class ChannelInterleave
         // modular arithmetic on the raw byte address (the system-level
         // analogue of AddressMap::decode).
         std::uint64_t block =
-            (addr.value() % _totalCapacity) >> kBlockShift;
-        std::uint64_t chunk = block / _blocksPerChunk;
-        return ChannelId(static_cast<unsigned>(chunk % _numChannels));
+            _totalCapacity.rem(addr.value()) >> kBlockShift;
+        std::uint64_t chunk = _blocksPerChunk.quot(block);
+        return ChannelId(static_cast<unsigned>(_numChannels.rem(chunk)));
     }
 
     /** The channel-local address @p addr maps to. */
@@ -61,20 +66,21 @@ class ChannelInterleave
         // channelOf); rewrites the address into the channel-local
         // space.
         std::uint64_t block =
-            (addr.value() % _totalCapacity) >> kBlockShift;
-        std::uint64_t chunk = block / _blocksPerChunk;
-        std::uint64_t offset = block % _blocksPerChunk;
-        std::uint64_t local_chunk = chunk / _numChannels;
+            _totalCapacity.rem(addr.value()) >> kBlockShift;
+        std::uint64_t chunk = _blocksPerChunk.quot(block);
+        std::uint64_t offset = _blocksPerChunk.rem(block);
+        std::uint64_t local_chunk = _numChannels.quot(chunk);
         // mlint: allow(value-escape): see above.
-        return LogicalAddr((local_chunk * _blocksPerChunk + offset) *
-                               kBlockSize +
-                           addr.value() % kBlockSize);
+        return LogicalAddr(
+            (local_chunk * _blocksPerChunk.divisor() + offset) *
+                kBlockSize +
+            addr.value() % kBlockSize);
     }
 
   private:
-    std::uint64_t _blocksPerChunk;
-    std::uint64_t _totalCapacity;
-    unsigned _numChannels;
+    Divisor _blocksPerChunk;
+    Divisor _totalCapacity;
+    Divisor _numChannels;
 };
 
 } // namespace mellowsim

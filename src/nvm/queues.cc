@@ -16,9 +16,6 @@ RequestQueue::RequestQueue(unsigned numBanks, unsigned capacity)
     // a long run does not keep reaching new high-water marks.
     _arena.reserve(capacity);
     _freeSlots.reserve(capacity);
-    // One live entry per bank plus the full stale backlog the rebuild
-    // threshold in noteFrontArrival() permits.
-    _arrivalHeap.reserve(numBanks * 5 + 65);
 }
 
 unsigned
@@ -42,36 +39,6 @@ RequestQueue::allocSlot(MemRequest req)
 }
 
 void
-RequestQueue::noteFrontArrival(BankId bank, Tick arrival)
-{
-    _frontArrival[bank] = arrival;
-    if (arrival == MaxTick)
-        return;
-    _arrivalHeap.push_back(ArrivalEntry{arrival, bank});
-    std::push_heap(_arrivalHeap.begin(), _arrivalHeap.end(),
-                   ArrivalAfter{});
-    // Bound the stale backlog; the rebuild restores one live entry
-    // per non-empty bank.
-    if (_arrivalHeap.size() > _banks.size() * 4 + 64)
-        rebuildArrivalHeap();
-}
-
-void
-RequestQueue::rebuildArrivalHeap() const
-{
-    _arrivalHeap.clear();
-    for (std::uint32_t b = 0;
-         b < static_cast<std::uint32_t>(_banks.size()); ++b) {
-        BankId bank(b);
-        if (_frontArrival[bank] != MaxTick)
-            _arrivalHeap.push_back(
-                ArrivalEntry{_frontArrival[bank], bank});
-    }
-    std::make_heap(_arrivalHeap.begin(), _arrivalHeap.end(),
-                   ArrivalAfter{});
-}
-
-void
 RequestQueue::push(MemRequest req)
 {
     RingDeque<ReqSlot> &fifo = _banks[req.loc.bank];
@@ -83,7 +50,7 @@ RequestQueue::push(MemRequest req)
     ++_size;
     if (fifo.size() == 1) {
         _nonEmpty.set(bank);
-        noteFrontArrival(bank, arrival);
+        _frontArrival[bank] = arrival;
     }
 }
 
@@ -98,7 +65,7 @@ RequestQueue::pushFront(MemRequest req)
     _blockIndex.increment(block);
     ++_size;
     _nonEmpty.set(bank);
-    noteFrontArrival(bank, arrival);
+    _frontArrival[bank] = arrival;
 }
 
 const MemRequest &
@@ -127,7 +94,7 @@ RequestQueue::pop(BankId bank)
         _nonEmpty.clear(bank);
         _frontArrival[bank] = MaxTick;
     } else {
-        noteFrontArrival(bank, _arena[fifo.front()].arrival);
+        _frontArrival[bank] = _arena[fifo.front()].arrival;
     }
     return req;
 }
@@ -141,15 +108,10 @@ RequestQueue::countForBlock(LogicalAddr addr) const
 Tick
 RequestQueue::oldestArrival() const
 {
-    while (!_arrivalHeap.empty()) {
-        const ArrivalEntry &top = _arrivalHeap.front();
-        if (_frontArrival[top.bank] == top.arrival)
-            return top.arrival;
-        std::pop_heap(_arrivalHeap.begin(), _arrivalHeap.end(),
-                      ArrivalAfter{});
-        _arrivalHeap.pop_back();
-    }
-    return MaxTick;
+    Tick oldest = MaxTick;
+    for (Tick arrival : _frontArrival)
+        oldest = std::min(oldest, arrival);
+    return oldest;
 }
 
 } // namespace mellowsim

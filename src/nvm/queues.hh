@@ -14,9 +14,7 @@
  * (RingDeque), the block index is an open-addressing FlatCounter
  * keyed by block number, the non-empty-bank set is an incrementally
  * maintained IndexMask the controller's scheduling pass walks instead
- * of probing every bank, and oldestArrival() resolves from a lazily
- * repaired min-heap of per-bank front arrivals instead of scanning
- * all banks.
+ * of probing every bank.
  */
 
 #ifndef MELLOWSIM_NVM_QUEUES_HH
@@ -83,7 +81,10 @@ class RequestQueue
     /** Number of queued requests in @p addr's 64-byte block. */
     [[nodiscard]] unsigned countForBlock(LogicalAddr addr) const;
 
-    /** Oldest front-of-FIFO arrival across banks (MaxTick if empty). */
+    /**
+     * Oldest front-of-FIFO arrival across banks (MaxTick if empty).
+     * A scan over the banks: only tests and the micro benchmarks ask.
+     */
     [[nodiscard]] Tick oldestArrival() const;
 
     /**
@@ -98,30 +99,8 @@ class RequestQueue
     }
 
   private:
-    /** Lazily validated entry of the front-arrival min-heap. */
-    struct ArrivalEntry
-    {
-        Tick arrival;
-        BankId bank;
-    };
-
-    struct ArrivalAfter
-    {
-        [[nodiscard]] bool
-        operator()(const ArrivalEntry &a, const ArrivalEntry &b) const
-        {
-            return a.arrival > b.arrival;
-        }
-    };
-
     /** Move @p req into a pooled slot (free list first). */
     ReqSlot allocSlot(MemRequest req);
-
-    /** Record that @p bank's front arrival is now @p arrival. */
-    void noteFrontArrival(BankId bank, Tick arrival);
-
-    /** Rebuild the arrival heap from the per-bank front arrivals. */
-    void rebuildArrivalHeap() const;
 
     IndexedVector<ReqSlot, MemRequest> _arena;
     std::vector<ReqSlot> _freeSlots;
@@ -130,13 +109,6 @@ class RequestQueue
     IndexMask<BankId> _nonEmpty;
     /** Arrival of each bank's front request (MaxTick when empty). */
     IndexedVector<BankId, Tick> _frontArrival;
-    /**
-     * Min-heap over (arrival, bank); entries go stale when a bank's
-     * front changes and are discarded lazily on query. mutable: the
-     * lazy repair in oldestArrival() is a cache cleanup, not a
-     * semantic mutation.
-     */
-    mutable std::vector<ArrivalEntry> _arrivalHeap;
     std::size_t _size = 0;
     unsigned _capacity;
 };

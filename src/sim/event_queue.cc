@@ -133,22 +133,122 @@ EventQueue::maybeCompact()
     }
 }
 
+void
+EventQueue::arm(TimerHandle timer, Tick when)
+{
+    const std::uint32_t pos = timerPos(timer);
+    const Entry e{when, (drawSeq(when) << kSlotBits) | timer._index};
+    if (pos == kNotArmed) {
+        _timerHeap.push_back(e);
+        timerSift(_timerHeap.size() - 1);
+    } else {
+        _timerHeap[pos] = e;
+        timerSift(pos);
+    }
+}
+
+bool
+EventQueue::disarm(TimerHandle timer)
+{
+    const std::uint32_t pos = timerPos(timer);
+    if (pos == kNotArmed)
+        return false;
+    timerRemoveAt(pos);
+    return true;
+}
+
+void
+EventQueue::timerSift(std::size_t i)
+{
+    const Entry e = _timerHeap[i];
+    const unsigned __int128 ek = key128(e);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) >> 1;
+        if (key128(_timerHeap[parent]) <= ek)
+            break;
+        timerPlace(i, _timerHeap[parent]);
+        i = parent;
+    }
+    const std::size_t n = _timerHeap.size();
+    for (;;) {
+        std::size_t best = 2 * i + 1;
+        if (best >= n)
+            break;
+        if (best + 1 < n &&
+            key128(_timerHeap[best + 1]) < key128(_timerHeap[best])) {
+            ++best;
+        }
+        if (ek <= key128(_timerHeap[best]))
+            break;
+        timerPlace(i, _timerHeap[best]);
+        i = best;
+    }
+    timerPlace(i, e);
+}
+
+void
+EventQueue::timerRemoveAt(std::size_t i)
+{
+    _timerPos[slotOf(_timerHeap[i].key)] = kNotArmed;
+    const Entry last = _timerHeap.back();
+    _timerHeap.pop_back();
+    if (i < _timerHeap.size()) {
+        _timerHeap[i] = last;
+        timerSift(i);
+    }
+}
+
+bool
+EventQueue::pickNext(Entry *top, Slot **slot)
+{
+    Slot *live = nullptr;
+    while (!_heap.empty()) {
+        Slot &s = slotRef(slotOf(_heap.front().key));
+        if (s.pendingKey == _heap.front().key) {
+            live = &s;
+            break;
+        }
+        popTop(); // cancelled: discarded lazily
+    }
+    if (!_timerHeap.empty() &&
+        (live == nullptr ||
+         key128(_timerHeap.front()) < key128(_heap.front()))) {
+        *top = _timerHeap.front();
+        *slot = nullptr;
+        return true;
+    }
+    if (live == nullptr)
+        return false;
+    *top = _heap.front();
+    *slot = live;
+    return true;
+}
+
+void
+EventQueue::fireNext(const Entry &top, Slot *slot)
+{
+    _curTick = top.when;
+    if (slot != nullptr) {
+        popTop();
+        fireSlot(*slot, slotOf(top.key));
+        return;
+    }
+    // Disarmed before it runs, so the action may re-arm itself.
+    timerRemoveAt(0);
+    _timerActions[slotOf(top.key)]();
+}
+
 bool
 EventQueue::step()
 {
-    while (!_heap.empty()) {
-        Entry top = _heap.front();
-        popTop();
-        Slot &s = slotRef(slotOf(top.key));
-        if (s.pendingKey != top.key)
-            continue; // cancelled: discarded lazily
-        _curTick = top.when;
-        _horizon = MaxTick;
-        fireSlot(s, slotOf(top.key));
-        _horizon = 0;
-        return true;
-    }
-    return false;
+    Entry top{};
+    Slot *slot = nullptr;
+    if (!pickNext(&top, &slot))
+        return false;
+    _horizon = MaxTick;
+    fireNext(top, slot);
+    _horizon = 0;
+    return true;
 }
 
 std::uint64_t
@@ -156,25 +256,21 @@ EventQueue::run(Tick stopAt)
 {
     std::uint64_t executed = 0;
     _horizon = stopAt;
-    while (!_heap.empty()) {
-        Entry top = _heap.front();
-        Slot &s = slotRef(slotOf(top.key));
-        if (s.pendingKey != top.key) {
-            popTop();
-            continue;
-        }
+    Entry top{};
+    Slot *slot = nullptr;
+    while (pickNext(&top, &slot)) {
         if (top.when >= stopAt) {
             _curTick = stopAt;
             break;
         }
-        popTop();
-        _curTick = top.when;
-        fireSlot(s, slotOf(top.key));
+        fireNext(top, slot);
         ++executed;
     }
     _horizon = 0;
-    if (_heap.empty() && stopAt != MaxTick && _curTick < stopAt)
+    if (_heap.empty() && _timerHeap.empty() && stopAt != MaxTick &&
+        _curTick < stopAt) {
         _curTick = stopAt;
+    }
     return executed;
 }
 

@@ -8,8 +8,13 @@
  * every run bit-deterministic.
  *
  * Components may hold an EventHandle to a scheduled event in order to
- * deschedule or reschedule it (e.g. a memory controller's "try issue"
- * event, or a cancellable write completion).
+ * deschedule or reschedule it (e.g. a cancellable write completion).
+ *
+ * A component whose event is a self-rescheduling singleton (the
+ * controller's scheduling pass, the LLC's eager scan, the core's
+ * wake-up) registers it once as a timer instead: a callable with at
+ * most one pending instance, re-armed in place and kept outside the
+ * event heap in a small heap of its own.
  *
  * Performance architecture (see DESIGN.md "Performance architecture"):
  * the kernel allocates nothing in steady state. Callables live in a
@@ -27,7 +32,10 @@
  * sequence is a pure function of the schedule-call sequence. Slot
  * reuse, free-list order and heap compaction change only *where*
  * callables are stored, never the (when, seq) keys, so they cannot
- * reorder fires. tools/determinism_check audits this end to end.
+ * reorder fires. Arming a timer draws its seq exactly as schedule()
+ * would, and the kernel fires whichever of the two heap tops has the
+ * smaller (when, seq), so a timer fires exactly where the equivalent
+ * event would. tools/determinism_check audits this end to end.
  */
 
 #ifndef MELLOWSIM_SIM_EVENT_QUEUE_HH
@@ -35,6 +43,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -86,6 +96,29 @@ class EventHandle
 
 /** Sentinel for "no event". */
 inline constexpr EventHandle InvalidEventHandle{};
+
+/** Identity of a re-armable timer; see EventQueue::addTimer(). */
+class TimerHandle
+{
+  public:
+    constexpr TimerHandle() = default;
+
+    /** True iff this handle names a registered timer. */
+    [[nodiscard]] constexpr bool
+    valid() const
+    {
+        return _index != kNone;
+    }
+
+  private:
+    friend class EventQueue;
+
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    constexpr explicit TimerHandle(std::uint32_t index) : _index(index) {}
+
+    std::uint32_t _index = kNone;
+};
 
 /** Legacy names; the handle is the event's identity. */
 using EventId = EventHandle;
@@ -141,13 +174,7 @@ class EventQueue
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_v<Fn &>,
                       "event action must be callable with no args");
-        panic_if(when < _curTick,
-                 "scheduling into the past: when=%llu cur=%llu",
-                 static_cast<unsigned long long>(when),
-                 static_cast<unsigned long long>(_curTick));
-
-        panic_if(_nextSeq >= kMaxSeq,
-                 "event sequence counter exhausted");
+        const std::uint64_t seq = drawSeq(when);
         std::uint32_t index = acquireSlot();
         Slot &s = slotRef(index);
         if constexpr (fitsInline<Fn>()) {
@@ -171,7 +198,7 @@ class EventQueue
             s.destroy = [](void *obj) { static_cast<Fn *>(obj)->~Fn(); };
         }
 
-        std::uint64_t key = (_nextSeq++ << kSlotBits) | index;
+        std::uint64_t key = (seq << kSlotBits) | index;
         s.pendingKey = key;
         _heap.push_back(Entry{when, key});
         heapSiftUp(_heap.size() - 1);
@@ -206,30 +233,94 @@ class EventQueue
         return slotRef(slot).pendingKey == handle._key;
     }
 
-    /** Number of pending (non-cancelled) events. */
-    [[nodiscard]] std::size_t numPending() const { return _numPending; }
+    // --- Timers ----------------------------------------------------
+    /**
+     * Register @p action as a timer. Registration draws no sequence
+     * number and schedules nothing; arm() does.
+     */
+    template <typename F>
+    TimerHandle
+    addTimer(F &&action)
+    {
+        static_assert(std::is_invocable_v<std::decay_t<F> &>,
+                      "timer action must be callable with no args");
+        const auto index = static_cast<std::uint32_t>(_timerPos.size());
+        panic_if(index > kSlotMask, "too many timers");
+        _timerActions.emplace_back(std::forward<F>(action));
+        _timerPos.push_back(kNotArmed);
+        return TimerHandle(index);
+    }
+
+    /**
+     * Make @p timer's one pending instance fire at @p when, replacing
+     * any instance already armed. Draws the next sequence number just
+     * as schedule() does, with the same panics, so the timer fires
+     * exactly where `deschedule(old); schedule(when, action)` would.
+     */
+    void arm(TimerHandle timer, Tick when);
+
+    /**
+     * Cancel @p timer's pending instance.
+     * @retval true it was armed.
+     */
+    bool disarm(TimerHandle timer);
+
+    /** True iff @p timer has a pending instance. */
+    [[nodiscard]] bool
+    armed(TimerHandle timer) const
+    {
+        return timerPos(timer) != kNotArmed;
+    }
+
+    /** Tick @p timer is armed for; MaxTick when it is not armed. */
+    [[nodiscard]] Tick
+    armedAt(TimerHandle timer) const
+    {
+        const std::uint32_t pos = timerPos(timer);
+        return pos == kNotArmed ? MaxTick : _timerHeap[pos].when;
+    }
+
+    /** Number of pending (non-cancelled) events and armed timers. */
+    [[nodiscard]] std::size_t
+    numPending() const
+    {
+        return _numPending + _timerHeap.size();
+    }
 
     // --- Audit accessors (src/check/) -----------------------------
     /**
-     * Earliest tick present in the heap (MaxTick if empty). Includes
-     * lazily-cancelled entries, which is fine for auditing: every
-     * entry was scheduled at >= the then-current tick, so even a
-     * stale entry must not sit in the past.
+     * Earliest tick of any heap entry or armed timer (MaxTick if
+     * none). Includes lazily-cancelled heap entries, which is fine
+     * for auditing: every entry was scheduled at >= the then-current
+     * tick, so even a stale entry must not sit in the past.
      */
     [[nodiscard]] Tick
     minPendingTick() const
     {
-        return _heap.empty() ? MaxTick : _heap.front().when;
+        Tick t = _heap.empty() ? MaxTick : _heap.front().when;
+        if (!_timerHeap.empty() && _timerHeap.front().when < t)
+            t = _timerHeap.front().when;
+        return t;
     }
 
-    /** Heap entries, including cancelled ones awaiting lazy removal. */
+    /**
+     * Event-heap entries, including cancelled ones awaiting lazy
+     * removal. Armed timers are not in it.
+     */
     [[nodiscard]] std::size_t rawHeapSize() const { return _heap.size(); }
+
+    /** Armed timers (each counts once in numPending()). */
+    [[nodiscard]] std::size_t
+    numArmedTimers() const
+    {
+        return _timerHeap.size();
+    }
 
     /** Pool slots ever created (capacity watermark, for tests). */
     [[nodiscard]] std::size_t slotCount() const { return _slotCount; }
 
-    /** True iff no events remain. */
-    [[nodiscard]] bool empty() const { return _numPending == 0; }
+    /** True iff no events remain and no timer is armed. */
+    [[nodiscard]] bool empty() const { return numPending() == 0; }
 
     /**
      * Run events until the queue empties or @p stopAt is reached.
@@ -243,14 +334,14 @@ class EventQueue
     std::uint64_t run(Tick stopAt = MaxTick);
 
     /**
-     * Execute at most one event.
+     * Execute at most one event or timer.
      *
      * The event may advance time further through tryAdvance() — the
      * LLC's eager scanner runs its no-op polls inline this way — so
      * curTick() after a step can be later than the popped event's
      * tick, but never passes a pending event.
      *
-     * @retval true an event was executed.
+     * @retval true an event or timer was executed.
      * @retval false the queue is empty.
      */
     bool step();
@@ -259,10 +350,10 @@ class EventQueue
      * Move time forward to @p when from inside a running event, as if
      * an event scheduled at @p when had been popped next. Succeeds
      * only if that is exactly what the queue would do: no heap entry,
-     * live or lazily cancelled, sits at or before @p when, and
-     * @p when is below the horizon of the step()/run() call that is
-     * executing. Time never moves backwards. Outside step()/run()
-     * the horizon is 0, so the call always refuses.
+     * live or lazily cancelled, and no armed timer sits at or before
+     * @p when, and @p when is below the horizon of the step()/run()
+     * call that is executing. Time never moves backwards. Outside
+     * step()/run() the horizon is 0, so the call always refuses.
      *
      * The caller then does inline what the scheduled event would
      * have done. Because that event would have been the next to
@@ -276,7 +367,8 @@ class EventQueue
     tryAdvance(Tick when)
     {
         if (when < _curTick || when >= _horizon ||
-            (!_heap.empty() && _heap.front().when <= when)) {
+            (!_heap.empty() && _heap.front().when <= when) ||
+            (!_timerHeap.empty() && _timerHeap.front().when <= when)) {
             return false;
         }
         _curTick = when;
@@ -345,6 +437,63 @@ class EventQueue
     {
         return key128(a) > key128(b);
     }
+
+    /** _timerPos value of a timer that is not armed. */
+    static constexpr std::uint32_t kNotArmed = ~std::uint32_t{0};
+
+    /** Timer-heap position of @p timer, or kNotArmed. */
+    [[nodiscard]] std::uint32_t
+    timerPos(TimerHandle timer) const
+    {
+        panic_if(timer._index >= _timerPos.size(), "unknown timer");
+        return _timerPos[timer._index];
+    }
+
+    /**
+     * Check @p when against the current tick, then take the next
+     * sequence number: the shared first step of schedule() and arm().
+     */
+    std::uint64_t
+    drawSeq(Tick when)
+    {
+        panic_if(when < _curTick,
+                 "scheduling into the past: when=%llu cur=%llu",
+                 static_cast<unsigned long long>(when),
+                 static_cast<unsigned long long>(_curTick));
+        panic_if(_nextSeq >= kMaxSeq,
+                 "event sequence counter exhausted");
+        return _nextSeq++;
+    }
+
+    /** Place @p e at timer-heap position @p i and record it there. */
+    void
+    timerPlace(std::size_t i, const Entry &e)
+    {
+        _timerHeap[i] = e;
+        _timerPos[slotOf(e.key)] = static_cast<std::uint32_t>(i);
+    }
+
+    /**
+     * Restore timer-heap order around position @p i, in whichever
+     * direction the entry there has to move.
+     */
+    void timerSift(std::size_t i);
+
+    /** Remove the timer at timer-heap position @p i. */
+    void timerRemoveAt(std::size_t i);
+
+    /**
+     * Pop cancelled entries off the event-heap top, then pick what
+     * fires next: the smaller (when, key) of the two heap tops.
+     *
+     * @param top   Set to the key of the next item.
+     * @param slot  Set to the next event's slot, or null for a timer.
+     * @retval false nothing is pending.
+     */
+    bool pickNext(Entry *top, Slot **slot);
+
+    /** Fire the item pickNext() returned, at its tick. */
+    void fireNext(const Entry &top, Slot *slot);
 
     void
     heapSiftUp(std::size_t i)
@@ -458,9 +607,25 @@ class EventQueue
     /** tryAdvance() bound: the running step()/run() limit, else 0. */
     Tick _horizon = 0;
     std::uint64_t _nextSeq = 1;
+    /** Pending events (armed timers are counted by _timerHeap). */
     std::size_t _numPending = 0;
 
     std::vector<Entry> _heap;
+
+    // --- Timers ----------------------------------------------------
+    /**
+     * Timer callables, in a deque so that a running one never moves,
+     * even if it registers another timer.
+     */
+    std::deque<std::function<void()>> _timerActions;
+    /** Timer-heap position of each timer; kNotArmed when not armed. */
+    std::vector<std::uint32_t> _timerPos;
+    /**
+     * Min-heap of armed timers by (when, key), with key =
+     * (seq << kSlotBits) | timer index; each timer records its
+     * position, so re-arming sifts it in place.
+     */
+    std::vector<Entry> _timerHeap;
 
     // --- Slot pool -------------------------------------------------
     std::vector<std::unique_ptr<Slot[]>> _chunks;

@@ -8,9 +8,15 @@
 
 using Tick = std::uint64_t;
 
+class TimerHandle
+{
+};
+
 class EventQueue
 {
   public:
     void scheduleIn(Tick delay, std::function<void()> action);
     void schedule(Tick when, std::function<void()> action);
+    TimerHandle addTimer(std::function<void()> action);
+    void arm(TimerHandle timer, Tick when);
 };

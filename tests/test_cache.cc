@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "cache/cache.hh"
 #include "sim/logging.hh"
 
@@ -276,5 +279,223 @@ TEST(Cache, DirtyMaskMatchesBruteForceUnderRandomTraffic)
         }
         for (std::uint64_t s = 0; s < kSets; ++s)
             EXPECT_EQ(c.dirtyMask(s), bruteDirtyMask(c, s));
+    }
+}
+
+namespace
+{
+
+/**
+ * The cache array as a vector of lines per set, MRU first: the
+ * straightforward model the flat tag arrays must agree with.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(unsigned assoc, std::uint64_t sets)
+        : _sets(sets, std::vector<CacheLine>(assoc))
+    {
+    }
+
+    CacheAccessResult
+    access(LogicalAddr addr, bool isWrite, bool updateLru,
+           std::uint32_t stamp)
+    {
+        wasted = false;
+        auto &set = _sets[index(addr)];
+        for (unsigned pos = 0; pos < set.size(); ++pos) {
+            CacheLine &line = set[pos];
+            if (!line.valid || line.blockAddr != blockAlign(addr))
+                continue;
+            line.touchStamp = stamp;
+            if (isWrite) {
+                wasted = line.eagerCleaned;
+                line.eagerCleaned = false;
+                line.dirty = true;
+            }
+            if (updateLru) {
+                CacheLine moved = line;
+                set.erase(set.begin() + pos);
+                set.insert(set.begin(), moved);
+            }
+            return {true, pos};
+        }
+        return {false, 0};
+    }
+
+    [[nodiscard]] bool
+    probe(LogicalAddr addr) const
+    {
+        for (const CacheLine &line : _sets[index(addr)]) {
+            if (line.valid && line.blockAddr == blockAlign(addr))
+                return true;
+        }
+        return false;
+    }
+
+    CacheVictim
+    insert(LogicalAddr addr, bool dirty, std::uint32_t stamp)
+    {
+        auto &set = _sets[index(addr)];
+        CacheVictim victim;
+        if (set.back().valid)
+            victim = {true, set.back().dirty, set.back().blockAddr};
+        set.pop_back();
+        CacheLine line;
+        line.blockAddr = blockAlign(addr);
+        line.valid = true;
+        line.dirty = dirty;
+        line.touchStamp = stamp;
+        set.insert(set.begin(), line);
+        return victim;
+    }
+
+    bool
+    clean(LogicalAddr addr)
+    {
+        for (CacheLine &line : _sets[index(addr)]) {
+            if (line.valid && line.blockAddr == blockAlign(addr)) {
+                if (!line.dirty)
+                    return false;
+                line.dirty = false;
+                line.eagerCleaned = true;
+                return true;
+            }
+        }
+        return false;
+    }
+
+    [[nodiscard]] const std::vector<CacheLine> &
+    set(std::uint64_t i) const
+    {
+        return _sets[i];
+    }
+
+    bool wasted = false;
+
+  private:
+    [[nodiscard]] std::uint64_t
+    index(LogicalAddr addr) const
+    {
+        return blockNumber(addr) % _sets.size();
+    }
+
+    std::vector<std::vector<CacheLine>> _sets;
+};
+
+void
+expectSameSet(const SetAssocCache &c, const ReferenceCache &ref,
+              std::uint64_t s)
+{
+    const std::vector<CacheLine> got = c.set(s);
+    const std::vector<CacheLine> &want = ref.set(s);
+    ASSERT_EQ(got.size(), want.size());
+    std::uint64_t dirty = 0;
+    for (unsigned pos = 0; pos < got.size(); ++pos) {
+        SCOPED_TRACE(pos);
+        ASSERT_EQ(got[pos].valid, want[pos].valid);
+        if (!want[pos].valid) {
+            EXPECT_EQ(c.blockAt(s, pos), SetAssocCache::kInvalidTag);
+            continue;
+        }
+        EXPECT_EQ(got[pos].blockAddr, want[pos].blockAddr);
+        EXPECT_EQ(c.blockAt(s, pos), want[pos].blockAddr);
+        EXPECT_EQ(got[pos].dirty, want[pos].dirty);
+        EXPECT_EQ(got[pos].eagerCleaned, want[pos].eagerCleaned);
+        EXPECT_EQ(got[pos].touchStamp, want[pos].touchStamp);
+        EXPECT_EQ(c.stampAt(s, pos), want[pos].touchStamp);
+        if (want[pos].dirty)
+            dirty |= std::uint64_t{1} << pos;
+    }
+    EXPECT_EQ(c.dirtyMask(s), dirty);
+}
+
+} // namespace
+
+/**
+ * Property: under random demand accesses (with and without LRU
+ * promotion), inserts, fills, probes and eager cleans, the flat array
+ * reports the same hit positions, victims, dirty and eagerly cleaned
+ * state, wasted-eager flags and touch stamps as the vector-of-lines
+ * reference, at every associativity the dirty mask allows.
+ */
+TEST(Cache, FlatArraysMatchAVectorOfLinesReference)
+{
+    for (unsigned assoc : {1u, 3u, 4u, 16u, 64u}) {
+        SCOPED_TRACE(assoc);
+        constexpr std::uint64_t kSets = 8;
+        SetAssocCache c(tiny(assoc, kSets));
+        ReferenceCache ref(assoc, kSets);
+        std::mt19937_64 rng(0x5eed + assoc);
+        std::uint64_t dirty_lines = 0;
+        for (int op = 0; op < 30000; ++op) {
+            const std::uint64_t set = rng() % kSets;
+            // Sub-block offsets too: every byte of a block hits it.
+            const LogicalAddr a(addrFor(set, rng() % (2 * assoc + 2),
+                                        kSets)
+                                    .value() +
+                                rng() % kBlockSize);
+            const auto stamp = static_cast<std::uint32_t>(rng() % 7);
+            switch (rng() % 6) {
+            case 0:
+            case 1: {
+                const bool write = rng() % 2 == 0;
+                const bool lru = rng() % 4 != 0;
+                CacheAccessResult got = c.access(a, write, lru, stamp);
+                CacheAccessResult want = ref.access(a, write, lru, stamp);
+                ASSERT_EQ(got.hit, want.hit) << "op " << op;
+                if (want.hit) {
+                    ASSERT_EQ(got.lruPos, want.lruPos) << "op " << op;
+                }
+                ASSERT_EQ(c.lastWriteWastedEager(), ref.wasted)
+                    << "op " << op;
+                break;
+            }
+            case 2: {
+                ASSERT_EQ(c.probe(a), ref.probe(a)) << "op " << op;
+                if (ref.probe(a)) {
+                    EXPECT_THROW((void)c.insert(a, false), PanicError);
+                    break;
+                }
+                const bool dirty = rng() % 2 == 0;
+                CacheVictim got = c.insert(a, dirty, stamp);
+                CacheVictim want = ref.insert(a, dirty, stamp);
+                ASSERT_EQ(got.valid, want.valid) << "op " << op;
+                ASSERT_EQ(got.dirty, want.dirty) << "op " << op;
+                if (want.valid) {
+                    ASSERT_EQ(got.blockAddr, want.blockAddr);
+                }
+                break;
+            }
+            case 3: {
+                const bool present = ref.probe(a);
+                const bool dirty = rng() % 2 == 0;
+                CacheFill got = c.fill(a, dirty, stamp);
+                ASSERT_EQ(got.inserted, !present) << "op " << op;
+                CacheVictim want;
+                if (!present)
+                    want = ref.insert(a, dirty, stamp);
+                ASSERT_EQ(got.victim.valid, want.valid) << "op " << op;
+                ASSERT_EQ(got.victim.dirty, want.dirty) << "op " << op;
+                if (want.valid) {
+                    ASSERT_EQ(got.victim.blockAddr, want.blockAddr);
+                }
+                break;
+            }
+            default:
+                ASSERT_EQ(c.cleanLineForEagerWrite(a), ref.clean(a))
+                    << "op " << op;
+                break;
+            }
+            expectSameSet(c, ref, set);
+            if (HasFatalFailure() || HasNonfatalFailure())
+                FAIL() << "diverged at op " << op;
+        }
+        for (std::uint64_t s = 0; s < kSets; ++s) {
+            expectSameSet(c, ref, s);
+            for (const CacheLine &line : ref.set(s))
+                dirty_lines += line.valid && line.dirty ? 1 : 0;
+        }
+        EXPECT_EQ(c.countDirtyLines(), dirty_lines);
     }
 }

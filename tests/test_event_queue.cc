@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -503,4 +504,280 @@ TEST(EventQueue, BatchedPollChainKeepsTheGlobalFireOrder)
     }
     EXPECT_EQ(steps.log(), reference.log());
     EXPECT_GT(reference.log().size(), 1000u);
+}
+
+// --- Timers: re-armable singletons outside the event heap ------------
+
+TEST(EventQueue, TimerFiresAtItsArmedTick)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    TimerHandle t = eq.addTimer([&] { fired.push_back(eq.curTick()); });
+    EXPECT_TRUE(t.valid());
+    EXPECT_FALSE(TimerHandle{}.valid());
+    EXPECT_FALSE(eq.armed(t));
+    EXPECT_EQ(eq.armedAt(t), MaxTick);
+    EXPECT_TRUE(eq.empty());
+
+    eq.arm(t, 40);
+    EXPECT_TRUE(eq.armed(t));
+    EXPECT_EQ(eq.armedAt(t), 40u);
+    EXPECT_EQ(eq.numPending(), 1u);
+    EXPECT_EQ(eq.numArmedTimers(), 1u);
+    EXPECT_EQ(eq.rawHeapSize(), 0u);
+    EXPECT_FALSE(eq.empty());
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(fired, (std::vector<Tick>{40}));
+    EXPECT_FALSE(eq.armed(t));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.step());
+}
+
+TEST(EventQueue, ReArmingReplacesThePendingInstance)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    TimerHandle t = eq.addTimer([&] { fired.push_back(eq.curTick()); });
+    eq.arm(t, 50);
+    eq.arm(t, 20); // earlier
+    eq.arm(t, 70); // later
+    EXPECT_EQ(eq.numPending(), 1u);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{70}));
+
+    eq.arm(t, 80);
+    EXPECT_TRUE(eq.disarm(t));
+    EXPECT_FALSE(eq.disarm(t));
+    EXPECT_TRUE(eq.empty());
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{70}));
+}
+
+TEST(EventQueue, TimerMayReArmItselfWhileRunning)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    TimerHandle t;
+    t = eq.addTimer([&] {
+        fired.push_back(eq.curTick());
+        EXPECT_FALSE(eq.armed(t)); // disarmed before it runs
+        if (fired.size() < 3)
+            eq.arm(t, eq.curTick() + 5);
+    });
+    eq.arm(t, 1);
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{1, 6, 11}));
+}
+
+TEST(EventQueue, ArmingIntoThePastPanics)
+{
+    EventQueue eq;
+    TimerHandle t = eq.addTimer([] {});
+    eq.schedule(100, [] {});
+    eq.run();
+    EXPECT_THROW(eq.arm(t, 50), PanicError);
+    EXPECT_FALSE(eq.armed(t));
+    EXPECT_THROW((void)eq.armed(TimerHandle{}), PanicError);
+}
+
+TEST(EventQueue, TimersAndEventsShareSameTickScheduleOrder)
+{
+    // Same tick: whichever was scheduled or armed first fires first,
+    // and re-arming moves a timer behind everything scheduled before.
+    EventQueue eq;
+    std::vector<char> order;
+    TimerHandle t = eq.addTimer([&] { order.push_back('T'); });
+    eq.schedule(10, [&] { order.push_back('a'); });
+    eq.arm(t, 10);
+    eq.schedule(10, [&] { order.push_back('b'); });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'T', 'b'}));
+
+    order.clear();
+    eq.arm(t, 20);
+    eq.schedule(20, [&] { order.push_back('c'); });
+    eq.arm(t, 20); // re-armed: a fresh sequence number
+    eq.run();
+    EXPECT_EQ(order, (std::vector<char>{'c', 'T'}));
+}
+
+TEST(EventQueue, MinPendingTickAndNumPendingCountTimers)
+{
+    EventQueue eq;
+    TimerHandle a = eq.addTimer([] {});
+    TimerHandle b = eq.addTimer([] {});
+    EXPECT_EQ(eq.minPendingTick(), MaxTick);
+    eq.schedule(30, [] {});
+    eq.arm(a, 50);
+    EXPECT_EQ(eq.minPendingTick(), 30u);
+    eq.arm(b, 20);
+    EXPECT_EQ(eq.minPendingTick(), 20u);
+    EXPECT_EQ(eq.numPending(), 3u);
+    EXPECT_EQ(eq.rawHeapSize(), 1u);
+    eq.disarm(b);
+    EXPECT_EQ(eq.minPendingTick(), 30u);
+    EXPECT_EQ(eq.numPending(), 2u);
+    eq.run();
+    EXPECT_EQ(eq.curTick(), 50u);
+    EXPECT_EQ(eq.numPending(), 0u);
+}
+
+TEST(EventQueue, TryAdvanceRefusesAtAnArmedTimer)
+{
+    EventQueue eq;
+    std::vector<bool> got;
+    TimerHandle t = eq.addTimer([] {});
+    eq.arm(t, 10);
+    eq.schedule(0, [&] {
+        got.push_back(eq.tryAdvance(10)); // armed timer at 10
+        got.push_back(eq.tryAdvance(12)); // ... and past it
+        got.push_back(eq.tryAdvance(9));
+    });
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(got, (std::vector<bool>{false, false, true}));
+
+    // A disarmed timer leaves nothing behind to refuse at.
+    got.clear();
+    eq.disarm(t);
+    eq.schedule(eq.curTick(), [&] { got.push_back(eq.tryAdvance(20)); });
+    ASSERT_TRUE(eq.step());
+    EXPECT_EQ(got, (std::vector<bool>{true}));
+}
+
+namespace
+{
+
+/**
+ * Self-rescheduling actors mixed with one-shot events, each actor
+ * either a timer or the plain-event pattern a timer replaces:
+ * deschedule the pending instance, schedule a new one. Every random
+ * draw happens at the same point in both, so they must fire the same
+ * (tick, id) sequence if timers keep the (when, seq) order. Deltas
+ * 0..15 put many items on one tick.
+ */
+class TimerCrossCheck
+{
+  public:
+    static constexpr unsigned kActors = 9;
+
+    TimerCrossCheck(bool timers, std::uint64_t seed)
+        : _timers(timers), _rng(seed)
+    {
+        for (unsigned a = 0; a < kActors; ++a) {
+            if (_timers)
+                _timer.push_back(_eq.addTimer([this, a] { fired(a); }));
+            else
+                _actorEvent.emplace_back();
+        }
+    }
+
+    EventQueue &eq() { return _eq; }
+    const std::vector<std::pair<Tick, int>> &log() const { return _log; }
+
+    /** Apply @p n random operations at the current tick. */
+    void
+    randomOps(unsigned n)
+    {
+        for (unsigned i = 0; i < n; ++i) {
+            const Tick when = _eq.curTick() + _rng() % 16;
+            switch (_rng() % 6) {
+            case 0: {
+                const int id = _nextId++;
+                _oneShots.push_back(_eq.schedule(when, [this, id] {
+                    fired(kActors + static_cast<unsigned>(id));
+                }));
+                break;
+            }
+            case 1:
+                if (!_oneShots.empty())
+                    _eq.deschedule(_oneShots[_rng() % _oneShots.size()]);
+                break;
+            case 2:
+            case 3:
+            case 4:
+                arm(static_cast<unsigned>(_rng() % kActors), when);
+                break;
+            default:
+                disarm(static_cast<unsigned>(_rng() % kActors));
+                break;
+            }
+        }
+        _pending.push_back(_eq.numPending());
+    }
+
+    const std::vector<std::size_t> &pending() const { return _pending; }
+
+  private:
+    void
+    fired(unsigned id)
+    {
+        _log.emplace_back(_eq.curTick(), static_cast<int>(id));
+        randomOps(static_cast<unsigned>(_rng() % 3));
+    }
+
+    void
+    arm(unsigned a, Tick when)
+    {
+        if (_timers) {
+            _eq.arm(_timer[a], when);
+        } else {
+            _eq.deschedule(_actorEvent[a]);
+            _actorEvent[a] = _eq.schedule(when, [this, a] { fired(a); });
+        }
+    }
+
+    void
+    disarm(unsigned a)
+    {
+        if (_timers)
+            _eq.disarm(_timer[a]);
+        else
+            _eq.deschedule(_actorEvent[a]);
+    }
+
+    EventQueue _eq;
+    bool _timers;
+    std::mt19937_64 _rng;
+    std::vector<TimerHandle> _timer;
+    std::vector<EventHandle> _actorEvent;
+    std::vector<EventHandle> _oneShots;
+    int _nextId = 0;
+    std::vector<std::pair<Tick, int>> _log;
+    std::vector<std::size_t> _pending;
+};
+
+} // namespace
+
+TEST(EventQueue, TimersFireExactlyLikeReschedulingEvents)
+{
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        // Under step().
+        TimerCrossCheck ev(false, seed), tm(true, seed);
+        for (auto *h : {&ev, &tm}) {
+            for (int round = 0; round < 3000; ++round) {
+                h->randomOps(2);
+                h->eq().step();
+            }
+        }
+        ASSERT_EQ(tm.log(), ev.log()) << "seed " << seed;
+        ASSERT_EQ(tm.pending(), ev.pending()) << "seed " << seed;
+        EXPECT_GT(ev.log().size(), 2900u);
+        const auto actor_fires = std::count_if(
+            tm.log().begin(), tm.log().end(), [](const auto &e) {
+                return e.second < static_cast<int>(TimerCrossCheck::kActors);
+            });
+        EXPECT_GT(actor_fires, 1000);
+
+        // Under run(stopAt) windows that end on and between ticks.
+        TimerCrossCheck evw(false, seed), tmw(true, seed);
+        for (auto *h : {&evw, &tmw}) {
+            for (int round = 0; round < 1500; ++round) {
+                h->randomOps(3);
+                h->eq().run(h->eq().curTick() + 1 + round % 23);
+            }
+        }
+        ASSERT_EQ(tmw.log(), evw.log()) << "seed " << seed;
+        ASSERT_EQ(tmw.pending(), evw.pending()) << "seed " << seed;
+        EXPECT_EQ(tmw.eq().curTick(), evw.eq().curTick());
+    }
 }

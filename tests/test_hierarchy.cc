@@ -265,7 +265,10 @@ TEST(Hierarchy, MshrTableMatchesReferenceModel)
 {
     // Random accesses and out-of-order fills against a std::map model
     // of the MSHRs: merges, waiter firing order, blocking at exactly
-    // llcMshrs, and one retry per blocking episode.
+    // llcMshrs, and one retry per blocking episode. Fills free slots
+    // from anywhere in the live list, and some misses go to blocks
+    // whose earlier MSHR was freed long ago (evicted since), so slots
+    // and block addresses are reused in every order.
     ScriptedFixture f;
     const std::size_t mshrs = smallHierarchy().llcMshrs;
     std::map<Addr, std::vector<int>> ref; // block -> waiter tokens
@@ -279,6 +282,13 @@ TEST(Hierarchy, MshrTableMatchesReferenceModel)
     std::mt19937_64 rng(42);
     unsigned nextFresh = 0;
     int nextToken = 0;
+    // Filled blocks in fill order, and each block's latest position
+    // there. A block filled kEvicted fills ago has left every level
+    // (the fixture's LLC holds 512 blocks), so it misses afresh.
+    constexpr std::size_t kEvicted = 2000;
+    std::vector<Addr> filledOrder;
+    std::map<Addr, std::size_t> lastFill;
+    std::uint64_t refills = 0;
     for (int step = 0; step < 20000; ++step) {
         bool fill = !f.port.pending.empty() && rng() % 5 < 2;
         if (fill) {
@@ -288,6 +298,8 @@ TEST(Hierarchy, MshrTableMatchesReferenceModel)
             std::size_t before = fired.size();
             f.port.complete(i);
             ref.erase(block);
+            lastFill[block] = filledOrder.size();
+            filledOrder.push_back(block);
             ASSERT_EQ(fired.size(), before + expect.size());
             EXPECT_TRUE(std::equal(expect.begin(), expect.end(),
                                    fired.begin() +
@@ -305,6 +317,18 @@ TEST(Hierarchy, MshrTableMatchesReferenceModel)
                                      rng() % ref.size()));
                 // Any byte of the block merges.
                 addr = LogicalAddr(it->first + rng() % kBlockSize);
+            } else if (filledOrder.size() > kEvicted && rng() % 4 == 0) {
+                // Re-miss a long-evicted block, unless it was filled
+                // again since or is outstanding right now.
+                const std::size_t at =
+                    rng() % (filledOrder.size() - kEvicted);
+                const Addr old_block = filledOrder[at];
+                if (lastFill.at(old_block) != at ||
+                    ref.count(old_block) != 0) {
+                    continue;
+                }
+                addr = LogicalAddr(old_block);
+                ++refills;
             } else {
                 ++nextFresh;
             }
@@ -340,6 +364,7 @@ TEST(Hierarchy, MshrTableMatchesReferenceModel)
     EXPECT_GT(misses, 1000u);
     EXPECT_GT(merges, 1000u);
     EXPECT_GT(expectedRetries, 100);
+    EXPECT_GT(refills, 200u);
 }
 
 TEST(Hierarchy, FreedMshrsAndWaitersAreReused)

@@ -128,6 +128,67 @@ TEST(EventQueueChecker, DetectsPendingEventInThePast)
     EXPECT_NE(v[0].message.find("500"), std::string::npos);
 }
 
+TEST(EventQueueChecker, ArmedTimersNeedNoHeapEntry)
+{
+    EventQueue eq;
+    TimerHandle a = eq.addTimer([] {});
+    TimerHandle b = eq.addTimer([] {});
+    eq.arm(a, 300);
+    eq.arm(b, 100);
+    eq.schedule(200, [] {});
+    ASSERT_EQ(eq.rawHeapSize(), 1u);
+    ASSERT_EQ(eq.numPending(), 3u);
+
+    auto v = collect("event-queue", [&](ViolationSink &sink) {
+        EventQueueChecker::evaluate(EventQueueChecker::capture(eq), 0,
+                                    sink);
+    });
+    EXPECT_TRUE(v.empty());
+    EXPECT_EQ(EventQueueChecker::capture(eq).minPendingTick, 100u);
+}
+
+TEST(EventQueueChecker, DetectsHeapSkewBesideArmedTimers)
+{
+    // Three pending, two of them timers: one heap entry is owed.
+    EventQueueChecker::Snapshot s;
+    s.curTick = 10;
+    s.minPendingTick = 20;
+    s.rawHeapSize = 0;
+    s.numPending = 3;
+    s.armedTimers = 2;
+    auto v = collect("event-queue", [&](ViolationSink &sink) {
+        EventQueueChecker::evaluate(s, 0, sink);
+    });
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].message.find("1 live events but only 0 heap"),
+              std::string::npos);
+
+    // More armed timers than pending work is a skew of its own.
+    s.rawHeapSize = 4;
+    s.armedTimers = 4;
+    v = collect("event-queue", [&](ViolationSink &sink) {
+        EventQueueChecker::evaluate(s, 0, sink);
+    });
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].message.find("4 armed timers"), std::string::npos);
+}
+
+TEST(EventQueueChecker, DetectsArmedTimerInThePast)
+{
+    // The earliest pending item is an armed timer behind curTick.
+    EventQueueChecker::Snapshot s;
+    s.curTick = 500;
+    s.minPendingTick = 450;
+    s.numPending = 1;
+    s.armedTimers = 1;
+    auto v = collect("event-queue", [&](ViolationSink &sink) {
+        EventQueueChecker::evaluate(s, 0, sink);
+    });
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].message.find("pending event in the past"),
+              std::string::npos);
+}
+
 // --- RequestConservationChecker ------------------------------------
 
 TEST(RequestConservationChecker, PassesOnLiveSystem)

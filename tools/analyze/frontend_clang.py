@@ -5,7 +5,8 @@ with semantic facts from clang.cindex driven by the exported
 compile_commands.json: `.value()` receivers are resolved through the
 real type system (aliases like BankId unwrap to StrongOrdinal<...>),
 the call graph uses referenced declarations instead of simple-name
-matching, and lambdas are found as AST nodes under schedule calls.
+matching, and lambdas are found as AST nodes under schedule and timer
+registration calls.
 
 Import of this module raises ImportError when the clang bindings (pip
 package `libclang`, pinned in tools/analyze/requirements.txt) are not
@@ -37,7 +38,9 @@ _FUNC_KINDS = (
     CursorKind.FUNCTION_TEMPLATE,
 )
 
-_SCHEDULE_NAMES = ("schedule", "scheduleIn")
+# Calls whose lambda arguments run as event handlers: one-shot events
+# and re-armable timers (registered once, fired on every arm()).
+_SCHEDULE_NAMES = ("schedule", "scheduleIn", "addTimer")
 
 
 def _qualified_name(cursor) -> str:
@@ -170,8 +173,8 @@ class _TUWalker:
         self._visit(cursor, current_func, main_file)
 
     def _roots_under(self, call_cursor, path: str) -> None:
-        """Register every lambda argument of a schedule call as a
-        synthetic handler root."""
+        """Register every lambda argument of a schedule or timer
+        registration call as a synthetic handler root."""
         def lambdas(c):
             for child in c.get_children():
                 if child.kind == CursorKind.LAMBDA_EXPR:

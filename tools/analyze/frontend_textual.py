@@ -83,7 +83,8 @@ UNORDERED_DECL_RE = re.compile(
 )
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*([A-Za-z_][\w.\->]*)\s*\)")
 
-SCHEDULE_RE = re.compile(r"\b(?:schedule|scheduleIn)\s*\(")
+# Event-handler entry points: one-shot events and re-armable timers.
+SCHEDULE_RE = re.compile(r"\b(?:schedule|scheduleIn|addTimer)\s*\(")
 
 
 def strip_comments_and_strings(lines: list[str]) -> list[str]:
@@ -251,7 +252,7 @@ def _extract_schedule_lambdas(path: str, clean: list[str],
                               unordered_names: set[str]
                               ) -> list[FunctionDef]:
     """Synthetic root functions for lambdas passed to
-    EventQueue::schedule / scheduleIn."""
+    EventQueue::schedule / scheduleIn / addTimer."""
     roots: list[FunctionDef] = []
     for i, line in enumerate(clean):
         if not SCHEDULE_RE.search(line):

@@ -9,7 +9,7 @@ express:
   layering          include-graph / cross-module symbol references
                     outside the layer manifest (tools/analyze/layers.toml)
   nondet-handler    wall clocks, raw RNG, unordered iteration or I/O
-                    reachable from an EventQueue::schedule callback
+                    reachable from an event or timer callback
   request-lifetime  a MemRequest read after std::move() into a queue
 
 plus the confinement rule driven by tools/analyze/confinement.toml
@@ -29,7 +29,7 @@ tools/analyze/protocol.toml:
                     outside src/sim/sync.hh, or a RelaxedCounter
                     read feeding control flow instead of stats
   handler-blocking  a mutex acquisition or blocking call reachable
-                    from an EventQueue::schedule handler
+                    from an event or timer handler
 
 Findings honour the shared `// mlint: allow(<rule>): <reason>`
 suppression syntax (tools/analyze/suppress.py).

@@ -82,7 +82,8 @@ class FunctionDef:
     banned: list[tuple[str, int, str]] = field(default_factory=list)
     #: (line, container) for range-for over unordered containers.
     unordered_iters: list[tuple[int, str]] = field(default_factory=list)
-    #: True for synthetic lambda functions rooted at EventQueue::schedule.
+    #: True for synthetic lambda functions rooted at EventQueue::schedule
+    #: or EventQueue::addTimer.
     is_schedule_root: bool = False
 
 

@@ -200,7 +200,7 @@ def check_nondet_handler(project: Project, whitelists: dict) -> list[Finding]:
     findings = []
     emitted: set[tuple[str, int, str]] = set()
     for func in reachable:
-        label = ("an EventQueue::schedule callback"
+        label = ("an event or timer callback"
                  if func.is_schedule_root else f"{func.name}()")
         for ident, line, what in func.banned:
             key = (func.file, line, ident)

@@ -357,7 +357,7 @@ def check_handler_blocking(project: Project, protocol: dict,
         clean = cleaned.get(func.file)
         if clean is None:
             continue
-        label = ("an EventQueue::schedule callback"
+        label = ("an event or timer callback"
                  if func.is_schedule_root else f"{func.name}()")
         sites = []
         for ln in range(func.start, min(func.end, len(clean)) + 1):

@@ -21,8 +21,8 @@ _RULE_DESCRIPTIONS = {
         "the manifest in tools/analyze/layers.toml.",
     "nondet-handler":
         "Nondeterministic API (wall clock, raw RNG, unordered "
-        "iteration, I/O) reachable from an EventQueue::schedule "
-        "callback.",
+        "iteration, I/O) reachable from an EventQueue::schedule or "
+        "addTimer callback.",
     "request-lifetime":
         "A request object is read after ownership was handed to a "
         "queue.",
@@ -41,8 +41,8 @@ _RULE_DESCRIPTIONS = {
         "(tools/analyze/protocol.toml [atomic_order]).",
     "handler-blocking":
         "A mutex acquisition or blocking call reachable from an "
-        "EventQueue::schedule handler; a blocking handler stalls its "
-        "simulation on another thread "
+        "EventQueue::schedule or addTimer handler; a blocking handler "
+        "stalls its simulation on another thread "
         "(tools/analyze/protocol.toml [handler_blocking]).",
 }
 
