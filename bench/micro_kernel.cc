@@ -187,8 +187,8 @@ benchScheduleCancel(std::uint64_t totalOps)
 }
 
 /**
- * Request-queue churn: push/pop across banks plus the block-index
- * lookups the read-forwarding path performs per demand read.
+ * Request-queue churn: push/pop across banks plus the oldest-arrival
+ * scan.
  */
 void
 benchRequestQueue(std::uint64_t totalOps)
@@ -209,8 +209,7 @@ benchRequestQueue(std::uint64_t totalOps)
             req.loc.bank = BankId(bank);
             req.arrival = static_cast<Tick>(r);
             nextAddr = (nextAddr + kBlockSize) % (1u << 22);
-            q.push(std::move(req));
-            lookups += q.countForBlock(LogicalAddr(nextAddr));
+            q.push(req);
             if (q.countForBank(BankId(bank)) > kDepth / kBanks) {
                 MemRequest out = q.pop(BankId(bank));
                 lookups += out.attempts;

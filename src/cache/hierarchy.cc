@@ -41,7 +41,7 @@ Hierarchy::addWaiter(Mshr &mshr, bool isWrite, Callback done)
     }
     MshrWaiter &w = _waiters[idx];
     w.isWrite = isWrite;
-    w.done = std::move(done);
+    w.done = done;
     w.next = kNoWaiter;
     if (mshr.tail == kNoWaiter)
         mshr.head = idx;
@@ -121,7 +121,7 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
     // LLC miss: merge into an outstanding MSHR if possible.
     if (std::size_t live = findLive(block); live < _liveMshrs.size()) {
         ++_stats.mshrMerges;
-        addWaiter(_mshrs[_liveMshrs[live]], isWrite, std::move(done));
+        addWaiter(_mshrs[_liveMshrs[live]], isWrite, done);
         return {AccessOutcome::Miss, 0};
     }
     if (_freeMshrs.empty()) {
@@ -136,7 +136,7 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
     _liveMshrs.push_back(slot);
     Mshr &fresh = _mshrs[slot];
     fresh.block = block;
-    addWaiter(fresh, isWrite, std::move(done));
+    addWaiter(fresh, isWrite, done);
 
     // The memory read departs after the full lookup path.
     _eventq.scheduleIn(lookup, [this, block] {
@@ -177,13 +177,12 @@ Hierarchy::onFill(LogicalAddr blockAddr)
     fillUpper(blockAddr, any_store);
 
     // A callback may re-enter access(), which can grow _waiters and
-    // reuse freed nodes. So each node is unlinked, its callback moved
+    // reuse freed nodes. So each node is unlinked, its callback copied
     // out and the node freed before the callback runs; no reference
     // into the pool is held across the call.
     for (std::uint32_t i = head; i != kNoWaiter;) {
         MshrWaiter &w = _waiters[i];
-        Callback done = std::move(w.done);
-        w.done = nullptr;
+        const Callback done = w.done;
         std::uint32_t next = w.next;
         w.next = _freeWaiter;
         _freeWaiter = i;

@@ -18,13 +18,14 @@
 #define MELLOWSIM_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "cache/llc.hh"
 #include "nvm/memory_port.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_callback.hh"
 #include "sim/stats.hh"
 
 namespace mellowsim
@@ -75,7 +76,12 @@ struct HierarchyStats
 class Hierarchy
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * Completion and retry callbacks: inline, trivially copyable
+     * callables (sim/inline_callback.hh), so a waiter record is a
+     * plain copy and a miss allocates nothing.
+     */
+    using Callback = InlineCallback;
 
     Hierarchy(EventQueue &eventq, const HierarchyConfig &config,
               MemoryPort &controller, std::uint64_t seed);
@@ -94,7 +100,7 @@ class Hierarchy
      * Register the (single) consumer to poke when a Blocked access
      * may be retried. Fired at most once per blocking episode.
      */
-    void setRetryCallback(Callback cb) { _retryCb = std::move(cb); }
+    void setRetryCallback(Callback cb) { _retryCb = cb; }
 
     /**
      * Functionally touch a block (warm-up): installs/updates the line
@@ -124,6 +130,7 @@ class Hierarchy
         Callback done;
         std::uint32_t next = kNoWaiter;
     };
+    static_assert(std::is_trivially_copyable_v<MshrWaiter>);
 
     /** One slot of the flat MSHR table; waiters in arrival order. */
     struct Mshr

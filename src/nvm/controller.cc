@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "sim/logging.hh"
 
@@ -17,6 +18,8 @@ MemoryController::MemoryController(EventQueue &eventq,
       _readQ(config.geometry.numBanks, config.readQueueSize),
       _writeQ(config.geometry.numBanks, config.writeQueueSize),
       _eagerQ(config.geometry.numBanks, config.eagerQueueSize),
+      _writeBlocks(2 * (std::size_t{config.writeQueueSize} +
+                        config.eagerQueueSize)),
       _banks(config.geometry.numBanks), _ranks(config.geometry.numRanks),
       _writeCompletion(config.geometry.numBanks, InvalidEventHandle),
       _lastReadArrival(config.geometry.numBanks, 0),
@@ -136,16 +139,15 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
     // Read forwarding: a queued (or eager-queued) write to the same
     // block supplies the data from the controller's buffers without
     // touching the memory array.
-    if (_writeQ.countForBlock(addr) > 0 ||
-        _eagerQ.countForBlock(addr) > 0) {
+    if (_writeBlocks.count(blockNumber(addr)) > 0) {
         ++_stats.forwardedReads;
         _stats.readLatency.sample(
             static_cast<double>(_config.forwardLatency));
-        auto deliver = [cb = std::move(onComplete)] { cb(); };
+        auto deliver = [onComplete] { onComplete(); };
         static_assert(EventQueue::fitsInline<decltype(deliver)>(),
                       "forwarded-read callback must use the inline "
                       "slot, not the out-of-line pool");
-        _eventq.scheduleIn(_config.forwardLatency, std::move(deliver));
+        _eventq.scheduleIn(_config.forwardLatency, deliver);
         return;
     }
 
@@ -154,9 +156,9 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
     req.addr = addr;
     req.loc = _map.decode(addr);
     req.arrival = now;
-    req.onComplete = std::move(onComplete);
+    req.onComplete = onComplete;
     _lastReadArrival[req.loc.bank] = now;
-    _readQ.push(std::move(req));
+    _readQ.push(req);
     requestSchedule(now);
 }
 
@@ -170,7 +172,8 @@ MemoryController::writeback(LogicalAddr addr)
     req.addr = addr;
     req.loc = _map.decode(addr);
     req.arrival = now;
-    _writeQ.push(std::move(req));
+    _writeBlocks.increment(blockNumber(addr));
+    _writeQ.push(req);
     updateDrainState(now);
     requestSchedule(now);
 }
@@ -189,7 +192,8 @@ MemoryController::eagerWrite(LogicalAddr addr)
     req.addr = addr;
     req.loc = _map.decode(addr);
     req.arrival = now;
-    _eagerQ.push(std::move(req));
+    _writeBlocks.increment(blockNumber(addr));
+    _eagerQ.push(req);
     requestSchedule(now);
     return true;
 }
@@ -274,11 +278,18 @@ MemoryController::cancelBankWrite(BankId bank, Tick now)
     }
 
     // The aborted write retries from the front of its queue.
-    if (w.type == ReqType::Write) {
-        _writeQ.pushFront(std::move(w));
+    requeueWrite(w, now);
+}
+
+void
+MemoryController::requeueWrite(const MemRequest &req, Tick now)
+{
+    _writeBlocks.increment(blockNumber(req.addr));
+    if (req.type == ReqType::Write) {
+        _writeQ.pushFront(req);
         updateDrainState(now);
     } else {
-        _eagerQ.pushFront(std::move(w));
+        _eagerQ.pushFront(req);
     }
 }
 
@@ -317,7 +328,7 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
     if (!busAvailable(now, nextWake))
         return false;
 
-    MemRequest req = _readQ.pop(bank);
+    const MemRequest req = _readQ.pop(bank);
     Tick access = _timing.readAccess(row_hit);
     Tick access_done = now + access;
     Tick bus_start = reserveBus(access_done);
@@ -335,14 +346,16 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
     _energy.recordRead(row_hit);
     _stats.readLatency.sample(static_cast<double>(done - req.arrival));
 
-    auto deliver = [this, cb = std::move(req.onComplete)] {
+    auto deliver = [this, cb = req.onComplete] {
         if (cb)
             cb();
         requestSchedule(_eventq.curTick());
     };
-    static_assert(EventQueue::fitsInline<decltype(deliver)>(),
-                  "read-completion callback must use the inline slot");
-    _eventq.schedule(done, std::move(deliver));
+    static_assert(EventQueue::fitsInline<decltype(deliver)>() &&
+                      std::is_trivially_destructible_v<decltype(deliver)>,
+                  "read-completion callback must use the inline slot "
+                  "and need no destructor call");
+    _eventq.schedule(done, deliver);
     // The bank frees before the data burst completes; wake then.
     requestSchedule(access_done);
     return true;
@@ -406,6 +419,7 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
                  dec == WriteDecision::EagerNormal;
     bool slow = isSlowDecision(dec);
     MemRequest req = eager ? _eagerQ.pop(bank) : _writeQ.pop(bank);
+    _writeBlocks.decrement(blockNumber(req.addr));
     // Resolve the device line at issue time, so writes queued before
     // a retirement are also redirected through the indirection table
     // (retired lines are never written — audited). loc.blockInBank
@@ -592,12 +606,7 @@ MemoryController::onWriteComplete(BankId bank)
         // its queue with a slower pulse (bounded by maxRetries).
         ++_stats.retriedWrites;
         ++req.retries;
-        if (req.type == ReqType::Write) {
-            _writeQ.pushFront(std::move(req));
-            updateDrainState(now);
-        } else {
-            _eagerQ.pushFront(std::move(req));
-        }
+        requeueWrite(req, now);
     } else {
         // Ok, Retired (data landed in the fresh spare), and
         // Uncorrectable (data lost, loss recorded) all complete the

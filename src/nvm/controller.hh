@@ -31,6 +31,7 @@
 #include "nvm/request.hh"
 #include "nvm/timing.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_counter.hh"
 #include "sim/indexed.hh"
 #include "sim/stats.hh"
 #include "wear/endurance_model.hh"
@@ -268,6 +269,15 @@ class MemoryController : public MemoryPort
         return _eagerQ.size();
     }
 
+    /**
+     * Queued writes and eager writes to @p addr's 64-byte block: the
+     * count read forwarding tests. In-flight writes are not counted.
+     */
+    [[nodiscard]] unsigned bufferedWritesForBlock(LogicalAddr addr) const
+    {
+        return _writeBlocks.count(blockNumber(addr));
+    }
+
   private:
     // --- Scheduling -------------------------------------------------
     /** Run one scheduling pass; issues everything issueable now. */
@@ -287,6 +297,12 @@ class MemoryController : public MemoryPort
 
     /** Cancel the bank's in-flight write and requeue it. */
     void cancelBankWrite(BankId bank, Tick now);
+
+    /**
+     * Put a cancelled or verify-failed write back at the front of
+     * its write or eager queue.
+     */
+    void requeueWrite(const MemRequest &req, Tick now);
 
     /** Pause the bank's in-flight write (+WP). */
     void pauseBankWrite(BankId bank, Tick now);
@@ -340,6 +356,12 @@ class MemoryController : public MemoryPort
     RequestQueue _readQ;
     RequestQueue _writeQ;
     RequestQueue _eagerQ;
+    /**
+     * Block numbers of the requests in _writeQ and _eagerQ, counted
+     * together: incremented on every push into either queue and
+     * decremented on every pop, so read forwarding costs one probe.
+     */
+    FlatCounter<std::uint64_t> _writeBlocks;
 
     IndexedVector<BankId, Bank> _banks;
     std::vector<Rank> _ranks; ///< indexed by the raw rank number

@@ -6,8 +6,7 @@ namespace mellowsim
 {
 
 RequestQueue::RequestQueue(unsigned numBanks, unsigned capacity)
-    : _banks(numBanks, RingDeque<ReqSlot>(capacity)), _blockIndex(64),
-      _nonEmpty(numBanks), _frontArrival(numBanks, MaxTick),
+    : _banks(numBanks, RingDeque<ReqSlot>(capacity)), _nonEmpty(numBanks),
       _capacity(capacity)
 {
     fatal_if(numBanks == 0, "request queue needs >= 1 bank");
@@ -25,47 +24,35 @@ RequestQueue::countForBank(BankId bank) const
 }
 
 ReqSlot
-RequestQueue::allocSlot(MemRequest req)
+RequestQueue::allocSlot(const MemRequest &req)
 {
     if (!_freeSlots.empty()) {
         ReqSlot slot = _freeSlots.back();
         _freeSlots.pop_back();
-        _arena[slot] = std::move(req);
+        _arena[slot] = req;
         return slot;
     }
     ReqSlot slot(static_cast<std::uint32_t>(_arena.size()));
-    _arena.push_back(std::move(req));
+    _arena.push_back(req);
     return slot;
 }
 
 void
-RequestQueue::push(MemRequest req)
+RequestQueue::push(const MemRequest &req)
 {
     RingDeque<ReqSlot> &fifo = _banks[req.loc.bank];
-    BankId bank = req.loc.bank;
-    std::uint64_t block = blockNumber(req.addr);
-    Tick arrival = req.arrival;
-    fifo.push_back(allocSlot(std::move(req)));
-    _blockIndex.increment(block);
+    fifo.push_back(allocSlot(req));
     ++_size;
-    if (fifo.size() == 1) {
-        _nonEmpty.set(bank);
-        _frontArrival[bank] = arrival;
-    }
+    if (fifo.size() == 1)
+        _nonEmpty.set(req.loc.bank);
 }
 
 void
-RequestQueue::pushFront(MemRequest req)
+RequestQueue::pushFront(const MemRequest &req)
 {
-    RingDeque<ReqSlot> &fifo = _banks[req.loc.bank];
-    BankId bank = req.loc.bank;
-    std::uint64_t block = blockNumber(req.addr);
-    Tick arrival = req.arrival;
-    fifo.push_front(allocSlot(std::move(req)));
-    _blockIndex.increment(block);
+    _banks[req.loc.bank].push_front(allocSlot(req));
     ++_size;
-    _nonEmpty.set(bank);
-    _frontArrival[bank] = arrival;
+    _nonEmpty.set(req.loc.bank);
 }
 
 const MemRequest &
@@ -81,36 +68,21 @@ RequestQueue::pop(BankId bank)
     RingDeque<ReqSlot> &fifo = _banks[bank];
     panic_if(fifo.empty(), "pop() on empty bank FIFO");
     ReqSlot slot = fifo.pop_front();
-    MemRequest req = std::move(_arena[slot]);
-    // The moved-from slot holds only trivially-copyable residue plus
-    // the callback; clear the callback so no captured state outlives
-    // the request (a full MemRequest reset would cost a construct +
-    // destroy per pop for nothing).
-    _arena[slot].onComplete = nullptr;
     _freeSlots.push_back(slot);
-    _blockIndex.decrement(blockNumber(req.addr));
     --_size;
-    if (fifo.empty()) {
+    if (fifo.empty())
         _nonEmpty.clear(bank);
-        _frontArrival[bank] = MaxTick;
-    } else {
-        _frontArrival[bank] = _arena[fifo.front()].arrival;
-    }
-    return req;
-}
-
-unsigned
-RequestQueue::countForBlock(LogicalAddr addr) const
-{
-    return _blockIndex.count(blockNumber(addr));
+    return _arena[slot];
 }
 
 Tick
 RequestQueue::oldestArrival() const
 {
     Tick oldest = MaxTick;
-    for (Tick arrival : _frontArrival)
-        oldest = std::min(oldest, arrival);
+    for (const RingDeque<ReqSlot> &fifo : _banks) {
+        if (!fifo.empty())
+            oldest = std::min(oldest, _arena[fifo.front()].arrival);
+    }
     return oldest;
 }
 

@@ -4,17 +4,19 @@
  *
  * Each of the read, write and eager queues is a set of per-bank FIFOs
  * with a shared size. Per-bank counts are what the Figure 9 decision
- * logic consumes; a block-address index supports read forwarding from
- * pending writes.
+ * logic consumes. A queue keeps only the bookkeeping the scheduling
+ * pass reads; the block index that read forwarding probes belongs to
+ * the controller, which counts the blocks of its write and eager
+ * queues together (MemoryController::read).
  *
  * Data layout (see DESIGN.md "Performance architecture"): requests
  * are pooled in an IndexedVector arena behind typed ReqSlot indices
  * and recycled through a free list, so steady-state traffic allocates
- * nothing. The per-bank FIFOs are ring buffers of slot indices
- * (RingDeque), the block index is an open-addressing FlatCounter
- * keyed by block number, the non-empty-bank set is an incrementally
- * maintained IndexMask the controller's scheduling pass walks instead
- * of probing every bank.
+ * nothing. MemRequest is trivially copyable, so a push or pop copies
+ * the record and a freed slot needs no clearing. The per-bank FIFOs
+ * are ring buffers of slot indices (RingDeque), and the non-empty-bank
+ * set is an incrementally maintained IndexMask the controller's
+ * scheduling pass walks instead of probing every bank.
  */
 
 #ifndef MELLOWSIM_NVM_QUEUES_HH
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "nvm/request.hh"
-#include "sim/flat_counter.hh"
 #include "sim/index_mask.hh"
 #include "sim/index_ring.hh"
 #include "sim/indexed.hh"
@@ -67,10 +68,10 @@ class RequestQueue
     [[nodiscard]] unsigned countForBank(BankId bank) const;
 
     /** Append a request to its bank FIFO. */
-    void push(MemRequest req);
+    void push(const MemRequest &req);
 
     /** Re-insert a request at the front of its bank FIFO (retry). */
-    void pushFront(MemRequest req);
+    void pushFront(const MemRequest &req);
 
     /** Oldest request for a bank; bank FIFO must be non-empty. */
     [[nodiscard]] const MemRequest &front(BankId bank) const;
@@ -78,12 +79,10 @@ class RequestQueue
     /** Remove and return the oldest request for a bank. */
     MemRequest pop(BankId bank);
 
-    /** Number of queued requests in @p addr's 64-byte block. */
-    [[nodiscard]] unsigned countForBlock(LogicalAddr addr) const;
-
     /**
      * Oldest front-of-FIFO arrival across banks (MaxTick if empty).
-     * A scan over the banks: only tests and the micro benchmarks ask.
+     * A scan over the bank FIFOs: only tests and the micro benchmarks
+     * ask.
      */
     [[nodiscard]] Tick oldestArrival() const;
 
@@ -99,16 +98,13 @@ class RequestQueue
     }
 
   private:
-    /** Move @p req into a pooled slot (free list first). */
-    ReqSlot allocSlot(MemRequest req);
+    /** Copy @p req into a pooled slot (free list first). */
+    ReqSlot allocSlot(const MemRequest &req);
 
     IndexedVector<ReqSlot, MemRequest> _arena;
     std::vector<ReqSlot> _freeSlots;
     IndexedVector<BankId, RingDeque<ReqSlot>> _banks;
-    FlatCounter<std::uint64_t> _blockIndex;
     IndexMask<BankId> _nonEmpty;
-    /** Arrival of each bank's front request (MaxTick when empty). */
-    IndexedVector<BankId, Tick> _frontArrival;
     std::size_t _size = 0;
     unsigned _capacity;
 };

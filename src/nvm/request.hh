@@ -1,15 +1,21 @@
 /**
  * @file
  * Memory request record shared by the controller's three queues.
+ *
+ * MemRequest is trivially copyable: its read completion is an
+ * InlineCallback (sim/inline_callback.hh), so moving a request into a
+ * queue slot, out of it, into a bank and back is a plain copy, and a
+ * freed slot holds nothing that needs clearing or destroying.
  */
 
 #ifndef MELLOWSIM_NVM_REQUEST_HH
 #define MELLOWSIM_NVM_REQUEST_HH
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 
 #include "nvm/address_map.hh"
+#include "sim/inline_callback.hh"
 #include "sim/types.hh"
 
 namespace mellowsim
@@ -23,8 +29,11 @@ enum class ReqType
     EagerWrite, ///< eager mellow write back from the LLC
 };
 
-/** Completion callback for reads: fired when data is on the bus. */
-using ReadCallback = std::function<void()>;
+/**
+ * Completion callback for reads: fired when data is on the bus. An
+ * inline callable of at most 24 bytes of trivially copyable state.
+ */
+using ReadCallback = InlineCallback;
 
 /** One queued memory request. */
 struct MemRequest
@@ -47,6 +56,9 @@ struct MemRequest
     /** Write-verify retries consumed (fault injection only). */
     unsigned retries = 0;
 };
+
+static_assert(std::is_trivially_copyable_v<MemRequest>,
+              "requests are copied between queue slots and banks");
 
 } // namespace mellowsim
 

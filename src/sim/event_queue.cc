@@ -235,7 +235,8 @@ EventQueue::fireNext(const Entry &top, Slot *slot)
     }
     // Disarmed before it runs, so the action may re-arm itself.
     timerRemoveAt(0);
-    _timerActions[slotOf(top.key)]();
+    const InlineCallback action = _timerActions[slotOf(top.key)];
+    action();
 }
 
 bool

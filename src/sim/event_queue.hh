@@ -14,7 +14,9 @@
  * controller's scheduling pass, the LLC's eager scan, the core's
  * wake-up) registers it once as a timer instead: a callable with at
  * most one pending instance, re-armed in place and kept outside the
- * event heap in a small heap of its own.
+ * event heap in a small heap of its own. Timer callables are
+ * InlineCallbacks (sim/inline_callback.hh): trivially copyable, with
+ * 24 bytes of captured state.
  *
  * Performance architecture (see DESIGN.md "Performance architecture"):
  * the kernel allocates nothing in steady state. Callables live in a
@@ -43,13 +45,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "sim/inline_callback.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -236,17 +237,15 @@ class EventQueue
     // --- Timers ----------------------------------------------------
     /**
      * Register @p action as a timer. Registration draws no sequence
-     * number and schedules nothing; arm() does.
+     * number and schedules nothing; arm() does. The action must fit
+     * an InlineCallback (trivially copyable, at most 24 bytes).
      */
-    template <typename F>
     TimerHandle
-    addTimer(F &&action)
+    addTimer(InlineCallback action)
     {
-        static_assert(std::is_invocable_v<std::decay_t<F> &>,
-                      "timer action must be callable with no args");
         const auto index = static_cast<std::uint32_t>(_timerPos.size());
         panic_if(index > kSlotMask, "too many timers");
-        _timerActions.emplace_back(std::forward<F>(action));
+        _timerActions.push_back(action);
         _timerPos.push_back(kNotArmed);
         return TimerHandle(index);
     }
@@ -614,10 +613,10 @@ class EventQueue
 
     // --- Timers ----------------------------------------------------
     /**
-     * Timer callables, in a deque so that a running one never moves,
-     * even if it registers another timer.
+     * Timer callables, by timer index. A timer runs from a copy, so
+     * registering another timer from inside it may grow the vector.
      */
-    std::deque<std::function<void()>> _timerActions;
+    std::vector<InlineCallback> _timerActions;
     /** Timer-heap position of each timer; kNotArmed when not armed. */
     std::vector<std::uint32_t> _timerPos;
     /**

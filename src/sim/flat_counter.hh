@@ -3,10 +3,11 @@
  * Open-addressing multiset counter for integer keys.
  *
  * Replaces `std::unordered_map<Key, unsigned>` on hot lookup paths
- * (the request queues' block index): one flat power-of-two cell array,
- * linear probing, backward-shift deletion (no tombstones), and no
- * per-node allocation — the only allocation is the cell array itself,
- * which grows geometrically and is reused forever after.
+ * (the controller's buffered-write block index): one flat
+ * power-of-two cell array, linear probing, backward-shift deletion
+ * (no tombstones), and no per-node allocation — the only allocation
+ * is the cell array itself, which grows geometrically and is reused
+ * forever after.
  *
  * Determinism: the structure is never iterated, only probed by key,
  * so hash/probe order cannot leak into simulation results.

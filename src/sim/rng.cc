@@ -64,16 +64,21 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-std::uint64_t
-Rng::nextGeometric(double mean)
+GeometricGap::GeometricGap(double mean)
+    : logQ(mean <= 0.0 ? 0.0 : std::log1p(-(1.0 / (mean + 1.0))))
 {
-    if (mean <= 0.0)
+}
+
+std::uint64_t
+Rng::nextGeometric(GeometricGap gap)
+{
+    // log1p(-p) < 0 for every p in (0, 1): 0 can only mean "mean <= 0".
+    if (gap.logQ == 0.0)
         return 0;
     double u = nextDouble();
     // Inverse CDF of the geometric distribution on {0, 1, 2, ...}
-    // with success probability 1 / (mean + 1).
-    double p = 1.0 / (mean + 1.0);
-    double g = std::floor(std::log1p(-u) / std::log1p(-p));
+    // with success probability p = 1 / (mean + 1).
+    double g = std::floor(std::log1p(-u) / gap.logQ);
     if (g < 0.0)
         g = 0.0;
     return static_cast<std::uint64_t>(g);

@@ -19,6 +19,21 @@ namespace mellowsim
 {
 
 /**
+ * The per-distribution constant of Rng::nextGeometric: log1p(-p) for
+ * success probability p = 1 / (mean + 1). Computing it once per
+ * workload instead of once per draw leaves every draw bit-identical,
+ * since the same operands reach the same division.
+ */
+struct GeometricGap
+{
+    /** Precompute for mean @p mean; a mean <= 0 always draws 0. */
+    explicit GeometricGap(double mean);
+
+    /** log1p(-p); exactly 0.0 marks a mean <= 0. */
+    double logQ = 0.0;
+};
+
+/**
  * xorshift128+ generator (Vigna, 2014). Fast, 16 bytes of state,
  * passes BigCrush except MatrixRank; more than adequate for workload
  * synthesis.
@@ -44,8 +59,15 @@ class Rng
     /**
      * Geometrically distributed gap with mean @p mean (>= 0).
      * Used for compute-instruction gaps between memory references.
+     * A mean <= 0 returns 0 without drawing.
      */
-    std::uint64_t nextGeometric(double mean);
+    std::uint64_t nextGeometric(double mean)
+    {
+        return nextGeometric(GeometricGap(mean));
+    }
+
+    /** The same draw with its constant precomputed. */
+    std::uint64_t nextGeometric(GeometricGap gap);
 
   private:
     std::uint64_t _s0;

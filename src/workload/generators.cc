@@ -14,7 +14,7 @@ constexpr Addr kColdBase = 1ull << 30;
 SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
                                      std::uint64_t seed)
     : _params(params), _info{params.name, params.paperMpki},
-      _rng(seed ^ 0xC0FFEE0Dull),
+      _gap(params.meanGap), _rng(seed ^ 0xC0FFEE0Dull),
       _cold(params.pattern, kColdBase, params.footprintBytes, _rng,
             params.numStreams, params.strideBytes),
       _hot(AccessPattern::Random, 0, params.hotBytes, _rng)
@@ -45,7 +45,7 @@ SyntheticWorkload::next()
     }
 
     op.gap = static_cast<std::uint32_t>(
-        _rng.nextGeometric(_params.meanGap));
+        _rng.nextGeometric(_gap));
 
     bool cold = _rng.nextBool(_params.coldFraction);
     op.addr = cold ? _cold.next() : _hot.next();

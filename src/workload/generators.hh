@@ -75,6 +75,8 @@ class SyntheticWorkload : public Workload
   private:
     WorkloadParams _params;
     WorkloadInfo _info;
+    /** nextGeometric's constant for params.meanGap, computed once. */
+    GeometricGap _gap;
     Rng _rng;
     PatternCursor _cold;
     PatternCursor _hot;

@@ -2,6 +2,7 @@
 // this file fails, the compile-fail suite is testing a broken include
 // path or flag set, not the type system.
 #include "nvm/timing.hh"
+#include "sim/inline_callback.hh"
 #include "sim/strong_types.hh"
 
 using namespace mellowsim;
@@ -21,7 +22,11 @@ int
 main()
 {
     NvmTimingParams timing;
-    return timing.slowWritePulse(PulseFactor(3.0)) == 3 * timing.tWP
-               ? 0
-               : 1;
+    // The by-reference counterpart of fail_callback_owning_capture.
+    bool slow_ok = false;
+    InlineCallback check = [&slow_ok, &timing] {
+        slow_ok = timing.slowWritePulse(PulseFactor(3.0)) == 3 * timing.tWP;
+    };
+    check();
+    return slow_ok ? 0 : 1;
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "mellow/policy.hh"
@@ -187,6 +192,173 @@ TEST(Controller, ReadForwardedFromPendingWrite)
     // The forwarded read is a demand read but never issues to a bank.
     EXPECT_EQ(f.ctrl.stats().demandReads.value(), 2u);
     EXPECT_EQ(f.ctrl.stats().issuedReads.value(), 2u - 1u);
+}
+
+TEST(Controller, BufferedWriteBlocksCountPerBlock)
+{
+    // A write-back and an eager write to one block both count until
+    // each leaves its queue for a bank.
+    Fixture f{beMellow()};
+    const LogicalAddr block = bankAddr(1, 3);
+    EXPECT_EQ(f.ctrl.bufferedWritesForBlock(block), 0u);
+    f.ctrl.writeback(block);
+    ASSERT_TRUE(f.ctrl.eagerWrite(block));
+    EXPECT_EQ(f.ctrl.bufferedWritesForBlock(block), 2u);
+    EXPECT_EQ(f.ctrl.bufferedWritesForBlock(block + 16), 2u); // same block
+    EXPECT_EQ(f.ctrl.bufferedWritesForBlock(bankAddr(1, 4)), 0u);
+    ASSERT_TRUE(f.eq.step()); // the scheduling pass issues the write
+    EXPECT_EQ(f.ctrl.writeQueueDepth(), 0u);
+    EXPECT_EQ(f.ctrl.bufferedWritesForBlock(block), 1u);
+    f.runFor(10 * kMicrosecond);
+    EXPECT_EQ(f.ctrl.eagerQueueDepth(), 0u);
+    EXPECT_EQ(f.ctrl.bufferedWritesForBlock(block), 0u);
+}
+
+TEST(Controller, ReadForwardingMatchesBufferedWriteModel)
+{
+    // Random write-backs, eager writes and reads over a few blocks,
+    // with slow cancellable writes and write-verify retries, stepping
+    // the event queue one event at a time. A reference model mirrors
+    // each bank's write and eager FIFOs and its in-flight write, and
+    // learns of issues, cancellations and retries from the banks and
+    // the statistics. A read must be forwarded iff the multiset of
+    // queued blocks holds its block, and the controller's per-block
+    // count must equal the multiset's after every step.
+    MemControllerConfig cfg = smallConfig(beMellow().withSC());
+    cfg.fault.enabled = true;
+    cfg.fault.transientFailProb = 0.3;
+    EventQueue eq;
+    MemoryController ctrl(eq, cfg);
+    constexpr unsigned kBanks = 4;
+    constexpr unsigned kBlocksPerBank = 6;
+
+    struct BankModel
+    {
+        std::array<std::deque<std::uint64_t>, 2> queue; ///< write, eager
+        std::optional<std::uint64_t> inFlight;
+        unsigned inFlightQueue = 0;
+        std::uint64_t cancels = 0;
+    };
+    std::array<BankModel, kBanks> model;
+    auto buffered = [&] {
+        std::multiset<std::uint64_t> blocks;
+        for (const BankModel &m : model) {
+            for (const auto &q : m.queue)
+                blocks.insert(q.begin(), q.end());
+        }
+        return blocks;
+    };
+    auto requeue = [](BankModel &m) {
+        m.queue[m.inFlightQueue].push_front(*m.inFlight);
+        m.inFlight.reset();
+    };
+    auto check = [&] {
+        const std::multiset<std::uint64_t> blocks = buffered();
+        std::size_t writes = 0;
+        std::size_t eager = 0;
+        for (const BankModel &m : model) {
+            writes += m.queue[0].size();
+            eager += m.queue[1].size();
+        }
+        ASSERT_EQ(ctrl.writeQueueDepth(), writes);
+        ASSERT_EQ(ctrl.eagerQueueDepth(), eager);
+        for (unsigned b = 0; b < kBanks; ++b) {
+            for (unsigned i = 0; i < kBlocksPerBank; ++i) {
+                LogicalAddr addr = bankAddr(b, i);
+                ASSERT_EQ(ctrl.bufferedWritesForBlock(addr),
+                          blocks.count(blockNumber(addr)));
+            }
+        }
+    };
+    // One event; then reconcile every bank with the model. A pass
+    // may cancel a bank's write and issue again on that bank, so
+    // cancellations are applied before issues. A write completion is
+    // an event of its own, so at most one per step.
+    auto step = [&] {
+        std::uint64_t retried = ctrl.stats().retriedWrites.value();
+        if (!eq.step())
+            return;
+        bool retry = ctrl.stats().retriedWrites.value() != retried;
+        for (unsigned b = 0; b < kBanks; ++b) {
+            BankModel &m = model[b];
+            const Bank &bank = ctrl.bank(BankId(b));
+            std::uint64_t cancels =
+                ctrl.wearTracker().bankStats(BankId(b)).cancelledWrites;
+            bool busy = bank.writeInFlight() || bank.hasPausedWrite();
+            if (cancels != m.cancels) {
+                ASSERT_EQ(cancels, m.cancels + 1);
+                ASSERT_TRUE(m.inFlight.has_value());
+                m.cancels = cancels;
+                requeue(m);
+            } else if (m.inFlight && !busy) {
+                if (retry)
+                    requeue(m);
+                else
+                    m.inFlight.reset();
+            }
+            if (!m.inFlight && busy) {
+                m.inFlightQueue =
+                    bank.currentWriteType() == ReqType::EagerWrite ? 1 : 0;
+                std::deque<std::uint64_t> &q = m.queue[m.inFlightQueue];
+                ASSERT_FALSE(q.empty());
+                m.inFlight = q.front();
+                q.pop_front();
+            }
+        }
+    };
+
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+    unsigned forwarded = 0;
+    unsigned missed = 0;
+    for (int op = 0; op < 20000; ++op) {
+        unsigned b = static_cast<unsigned>(next() % kBanks);
+        LogicalAddr addr = bankAddr(b, next() % kBlocksPerBank);
+        std::uint64_t block = blockNumber(addr);
+        switch (next() % 8) {
+        case 0:
+            ctrl.writeback(addr);
+            model[b].queue[0].push_back(block);
+            break;
+        case 1:
+            if (ctrl.eagerWrite(addr))
+                model[b].queue[1].push_back(block);
+            break;
+        case 2: {
+            bool expect = buffered().count(block) > 0;
+            std::uint64_t before = ctrl.stats().forwardedReads.value();
+            ctrl.read(addr, [] {});
+            bool got = ctrl.stats().forwardedReads.value() != before;
+            ASSERT_EQ(got, expect) << "read at op " << op;
+            ++(got ? forwarded : missed);
+            break;
+        }
+        default:
+            step();
+            break;
+        }
+        check();
+        if (testing::Test::HasFatalFailure())
+            FAIL() << "model mismatch at op " << op;
+    }
+    while (!eq.empty()) {
+        step();
+        check();
+        if (testing::Test::HasFatalFailure())
+            FAIL() << "model mismatch while draining";
+    }
+    EXPECT_TRUE(buffered().empty());
+    // The walk must have exercised every path.
+    EXPECT_GT(forwarded, 100u);
+    EXPECT_GT(missed, 100u);
+    EXPECT_GT(ctrl.stats().cancelledWrites.value(), 20u);
+    EXPECT_GT(ctrl.stats().retriedWrites.value(), 20u);
+    EXPECT_GT(ctrl.stats().issuedEagerSlow.value(), 20u);
 }
 
 TEST(Controller, WriteDrainEntersAndExits)

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "nvm/queues.hh"
@@ -78,19 +77,6 @@ TEST(RequestQueue, FullIsAdvisory)
     EXPECT_TRUE(q.full());
 }
 
-TEST(RequestQueue, BlockIndexCountsPendingWritesPerBlock)
-{
-    RequestQueue q(2, 8);
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 0u);
-    q.push(makeReq(0, 0x40));
-    q.push(makeReq(1, 0x40 + 16)); // same block, different offset
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 2u);
-    q.pop(BankId(0));
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 1u);
-    q.pop(BankId(1));
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 0u);
-}
-
 TEST(RequestQueue, OldestArrivalAcrossBanks)
 {
     RequestQueue q(4, 8);
@@ -124,9 +110,11 @@ TEST(RequestQueue, RejectsDegenerateConstruction)
 TEST(RequestQueue, RandomizedAgainstNaiveReference)
 {
     // Drive the queue with random push/pushFront/pop traffic and
-    // check every aggregate view (size, per-bank counts, per-block
-    // counts, oldestArrival) against a deque-of-deques reference
-    // after every single operation.
+    // check every aggregate view (size, per-bank counts,
+    // oldestArrival) against a deque-of-deques reference after every
+    // single operation. The per-block counts read forwarding needs
+    // are the controller's; test_controller checks them against a
+    // model.
     constexpr unsigned kBanks = 6;
     RequestQueue q(kBanks, 16);
     std::vector<std::deque<MemRequest>> ref(kBanks);
@@ -140,7 +128,6 @@ TEST(RequestQueue, RandomizedAgainstNaiveReference)
     auto check = [&] {
         std::size_t total = 0;
         Tick oldest = MaxTick;
-        std::map<std::uint64_t, unsigned> blocks;
         for (unsigned b = 0; b < kBanks; ++b) {
             total += ref[b].size();
             ASSERT_EQ(q.countForBank(BankId(b)), ref[b].size());
@@ -149,16 +136,10 @@ TEST(RequestQueue, RandomizedAgainstNaiveReference)
                           ref[b].front().addr.value());
                 oldest = std::min(oldest, ref[b].front().arrival);
             }
-            for (const MemRequest &r : ref[b])
-                ++blocks[r.addr.value() / kBlockSize];
         }
         ASSERT_EQ(q.size(), total);
         ASSERT_EQ(q.empty(), total == 0);
         ASSERT_EQ(q.oldestArrival(), oldest);
-        for (const auto &[block, count] : blocks) {
-            ASSERT_EQ(q.countForBlock(LogicalAddr(block * kBlockSize)),
-                      count);
-        }
     };
     for (int op = 0; op < 3000; ++op) {
         unsigned bank = next() % kBanks;
@@ -169,7 +150,6 @@ TEST(RequestQueue, RandomizedAgainstNaiveReference)
             EXPECT_EQ(got.arrival, ref[bank].front().arrival);
             ref[bank].pop_front();
         } else {
-            // Few distinct blocks so countForBlock sees collisions.
             Addr addr = (next() % 24) * kBlockSize;
             Tick arrival = next() % 500;
             MemRequest r = makeReq(bank, addr, ReqType::Write, arrival);

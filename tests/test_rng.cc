@@ -4,8 +4,11 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "sim/rng.hh"
+#include "workload/generators.hh"
+#include "workload/workload.hh"
 
 using namespace mellowsim;
 
@@ -114,4 +117,48 @@ TEST(Rng, GeometricZeroMeanIsZero)
     Rng r(19);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(r.nextGeometric(0.0), 0u);
+}
+
+namespace
+{
+
+/** Rng::nextGeometric(mean) as written before its constant was hoisted. */
+std::uint64_t
+perDrawGeometric(Rng &r, double mean)
+{
+    if (mean <= 0.0)
+        return 0;
+    double u = r.nextDouble();
+    double p = 1.0 / (mean + 1.0);
+    double g = std::floor(std::log1p(-u) / std::log1p(-p));
+    if (g < 0.0)
+        g = 0.0;
+    return static_cast<std::uint64_t>(g);
+}
+
+} // namespace
+
+TEST(Rng, PrecomputedGeometricMatchesPerDrawFormula)
+{
+    std::vector<double> means = {0.0, -1.0, 1e-17, 0.5, 5.0, 80.0, 1e6};
+    unsigned shipped = 0;
+    for (const std::string &name : workloadNames()) {
+        WorkloadPtr w = makeWorkload(name);
+        if (const auto *s = dynamic_cast<const SyntheticWorkload *>(w.get())) {
+            means.push_back(s->params().meanGap);
+            ++shipped;
+        }
+    }
+    ASSERT_GE(shipped, 11u);
+    for (double mean : means) {
+        Rng ref(23);
+        Rng hoisted(23);
+        const GeometricGap gap(mean);
+        for (int i = 0; i < 1'000'000; ++i) {
+            ASSERT_EQ(hoisted.nextGeometric(gap), perDrawGeometric(ref, mean))
+                << "mean " << mean << " draw " << i;
+        }
+        // Same number of underlying draws: the generators stay in step.
+        ASSERT_EQ(hoisted.next(), ref.next()) << "mean " << mean;
+    }
 }

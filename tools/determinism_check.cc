@@ -34,6 +34,10 @@
  * allocator-order dependence) shows up as a diff between the serial
  * and threaded sweeps.
  *
+ * A configuration error (an unknown workload or policy name) exits
+ * with status 1 after fatal() has printed the reason; bad usage exits
+ * with status 2.
+ *
  * With MELLOWSIM_FP_DUMP=<path> the reference fingerprint is also
  * written to <path>, so two *builds* (e.g. before and after a kernel
  * rework) can be byte-compared, not just two runs of one build.
@@ -241,10 +245,9 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
     return 0;
 }
 
-} // namespace
-
+/** The audit itself; main() turns a fatal() into exit status 1. */
 int
-main(int argc, char **argv)
+checkMain(int argc, char **argv)
 {
     using namespace mellowsim;
 
@@ -355,4 +358,16 @@ main(int argc, char **argv)
                 runs, workload.c_str(), policy.c_str(), instructions,
                 seed, reference.size());
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return checkMain(argc, argv);
+    } catch (const mellowsim::FatalError &) {
+        return 1; // fatal() has already printed the reason
+    }
 }
