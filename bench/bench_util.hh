@@ -17,12 +17,17 @@
  * Every binary also takes --device <name> / --device=<name> and
  * --list-devices (see applyBenchArgs), so a figure can be regenerated
  * for any device in the zoo without touching the environment.
+ *
+ * A configuration error (fatal()) ends every binary with exit status
+ * 1 after its message, not with SIGABRT (see exitOnFatal).
  */
 
 #ifndef MELLOWSIM_BENCH_BENCH_UTIL_HH
 #define MELLOWSIM_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -40,13 +45,38 @@ namespace benchutil
 using namespace mellowsim;
 
 /**
- * Consume the flags shared by every bench binary (--device,
- * --list-devices), leaving positional arguments compacted in argv.
- * Call first thing in main().
+ * Terminate handler of the bench binaries. A FatalError that escapes
+ * main() -- a bad --device file, a config that fails inside the
+ * runConfigs workers -- is a user error whose reason fatal() has
+ * already printed: exit with status 1. Anything else is a crash and
+ * still aborts.
+ */
+[[noreturn]] inline void
+exitOnFatal()
+{
+    try {
+        if (std::exception_ptr e = std::current_exception())
+            std::rethrow_exception(e);
+    } catch (const FatalError &) {
+        std::fflush(stdout);
+        std::_Exit(1);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "terminate: uncaught exception: %s\n",
+                     e.what());
+    } catch (...) {
+    }
+    std::abort();
+}
+
+/**
+ * Install exitOnFatal, then consume the flags shared by every bench
+ * binary (--device, --list-devices), leaving positional arguments
+ * compacted in argv. Call first thing in main().
  */
 inline void
 applyBenchArgs(int &argc, char **argv)
 {
+    std::set_terminate(exitOnFatal);
     applyDeviceArgs(argc, argv);
 }
 

@@ -112,35 +112,18 @@ Llc::prime(LogicalAddr addr, bool dirty)
 }
 
 std::optional<LogicalAddr>
-Llc::scanPoll()
+Llc::candidateIn(std::uint64_t setIdx, unsigned from) const
 {
-    if (!_controller.eagerQueueHasSpace())
-        return std::nullopt;
-    ++_stats.eagerScans;
-
-    // UselessLru considers dirty lines from the first useless stack
-    // position down; the decay selector considers every dirty line.
-    const unsigned from = _config.selector == EagerSelector::UselessLru
-                              ? _profiler.uselessFrom()
-                              : 0;
-    if (from >= _array.assoc())
-        return std::nullopt; // nothing is useless this period
-
-    const std::uint64_t set_idx = _rng.nextBounded(_array.numSets());
-    std::uint64_t dirty = _array.dirtyMask(set_idx) >> from << from;
-    if (dirty == 0)
-        return std::nullopt; // no dirty line where a candidate could be
-
+    std::uint64_t dirty = _array.dirtyMask(setIdx) >> from << from;
     // Least likely to be used again: take candidates from the LRU end.
     while (dirty != 0) {
         const unsigned pos =
             static_cast<unsigned>(std::bit_width(dirty)) - 1;
-        const std::uint32_t stamp = _array.stampAt(set_idx, pos);
-        if (_config.selector == EagerSelector::UselessLru ||
-            (_period >= stamp &&
-             _period - stamp >= _config.deadAfterPeriods)) {
-            return _array.blockAt(set_idx, pos);
-        }
+        if (_config.selector == EagerSelector::UselessLru)
+            return _array.blockAt(setIdx, pos);
+        const std::uint32_t stamp = _array.stampAt(setIdx, pos);
+        if (_period >= stamp && _period - stamp >= _config.deadAfterPeriods)
+            return _array.blockAt(setIdx, pos);
         dirty &= ~(std::uint64_t{1} << pos);
     }
     return std::nullopt;
@@ -149,24 +132,56 @@ Llc::scanPoll()
 void
 Llc::onScan()
 {
-    // One pass per poll. A poll that sends nothing changes nothing an
-    // event could observe, so while the next poll would also be the
-    // queue's next event, tryAdvance() moves time to it and it runs
-    // right here instead of as an event of its own. The T_sample
-    // event is always pending, so a batch ends at the latest there.
-    for (;;) {
-        const Tick next = _eventq.curTick() + _config.scanInterval;
-        const std::optional<LogicalAddr> candidate = scanPoll();
-        if (!candidate && _eventq.tryAdvance(next))
-            continue;
-        // Arm the successor before the write, which may schedule
-        // same-tick controller events after it.
-        _eventq.arm(_scan, next);
-        if (candidate && _controller.eagerWrite(*candidate)) {
-            _array.cleanLineForEagerWrite(*candidate);
-            ++_stats.eagerSent;
+    // Polls fall at start, start + interval, ... A poll that sends
+    // nothing changes nothing an event could observe, so every poll
+    // that would also have been the queue's next event — each one
+    // strictly before advanceLimit() — runs in this batch. The first
+    // always runs. The T_sample event is always pending, so the
+    // limit is finite.
+    const Tick start = _eventq.curTick();
+    const Tick interval = _config.scanInterval;
+    const Tick limit = _eventq.advanceLimit();
+    const std::uint64_t polls =
+        limit > start ? (limit - start - 1) / interval + 1 : 1;
+
+    // The gate and the useless boundary change only in events, so
+    // they hold for the whole batch: a closed gate makes every poll
+    // a no-op that counts nothing, and with nothing useless every
+    // poll counts a scan and draws nothing.
+    std::uint64_t last = polls - 1; // the batch's final poll
+    std::optional<LogicalAddr> candidate;
+    if (_controller.eagerQueueHasSpace()) {
+        // UselessLru considers dirty lines from the first useless
+        // stack position down; the decay selector considers every
+        // dirty line.
+        const unsigned from =
+            _config.selector == EagerSelector::UselessLru
+                ? _profiler.uselessFrom()
+                : 0;
+        if (from >= _array.assoc()) {
+            _stats.eagerScans += polls;
+        } else {
+            const std::uint64_t sets = _array.numSets();
+            std::uint64_t k = 0;
+            do {
+                candidate = candidateIn(_rng.nextBounded(sets), from);
+            } while (!candidate && ++k < polls);
+            if (candidate)
+                last = k;
+            _stats.eagerScans += last + 1;
         }
-        return;
+    }
+
+    if (last > 0) {
+        const bool advanced = _eventq.tryAdvance(start + last * interval);
+        panic_if(!advanced, "eager scan batch overran its advance limit");
+    }
+    // Arm the successor before the write, which may schedule
+    // same-tick controller events after it.
+    _eventq.arm(_scan, _eventq.curTick() + interval);
+    if (candidate && _controller.eagerWrite(*candidate)) {
+        _array.cleanLineForEagerWrite(*candidate);
+        ++_stats.eagerSent;
     }
 }
 

@@ -14,9 +14,13 @@
  * runs every scanInterval. Most polls send nothing (the eager queue
  * is full, nothing is useless, or the drawn set holds no candidate —
  * the array's per-set dirty mask answers that without touching the
- * lines). Such polls run back to back inside one scan event for as
- * long as EventQueue::tryAdvance() shows that the next poll would be
- * the queue's next event anyway, so every RNG draw, gate call and
+ * lines). One scan event therefore runs, as one batch, every poll
+ * that would have been the queue's next event anyway: all polls
+ * before EventQueue::advanceLimit(), up to the first that finds a
+ * candidate. The gate and the useless boundary change only in
+ * events, so they are read once per batch; a closed gate or an empty
+ * useless range settles the whole batch in O(1), and otherwise each
+ * poll costs one RNG draw and one dirty-mask test. Every RNG draw and
  * eagerScans count — and with them every result — is exactly that of
  * one event per poll (DESIGN.md §10, "Eager scan").
  */
@@ -92,6 +96,8 @@ struct LlcStats
     stats::Counter eagerScans;      ///< scan attempts
 };
 
+struct LlcScanProbe;
+
 /** See file comment. */
 class Llc
 {
@@ -142,19 +148,23 @@ class Llc
     }
 
   private:
+    /** Lets the unit tests run the per-poll reference scan. */
+    friend struct LlcScanProbe;
+
     void onSamplePeriod();
     /**
-     * Scan timer: runs polls inline until one finds a candidate or
-     * another event is due first, then re-arms for the next poll.
+     * Scan timer: runs one batch of polls (see file comment), sends
+     * the candidate the batch found, if any, and re-arms for the
+     * poll after the batch.
      */
     void onScan();
     /**
-     * One poll of the scanner: the eager-queue gate, then a random
-     * set's least-recently-used candidate under the active selector.
-     * @return The candidate's block address, or nothing when the poll
-     *         sends nothing.
+     * The least-recently-used candidate of set @p setIdx under the
+     * active selector, among stack positions @p from and later.
+     * @return The candidate's block address, or nothing.
      */
-    [[nodiscard]] std::optional<LogicalAddr> scanPoll();
+    [[nodiscard]] std::optional<LogicalAddr>
+    candidateIn(std::uint64_t setIdx, unsigned from) const;
     void handleVictim(const CacheVictim &victim);
 
     EventQueue &_eventq;

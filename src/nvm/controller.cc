@@ -26,6 +26,7 @@ MemoryController::MemoryController(EventQueue &eventq,
       _pausedBanks(config.geometry.numBanks),
       _readableScratch(config.geometry.numBanks),
       _writableScratch(config.geometry.numBanks),
+      _settled(config.geometry.numBanks),
       _endurance(config.endurance),
       _wear(
           [&config] {
@@ -106,6 +107,7 @@ void
 MemoryController::onQuotaPeriod()
 {
     _quota->onPeriodBoundary();
+    unsettleAll();
     _eventq.scheduleIn(_quota->config().samplePeriod,
                        [this] { onQuotaPeriod(); });
     // Quota flags changed; queued writes may now decide differently.
@@ -158,6 +160,7 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
     req.arrival = now;
     req.onComplete = onComplete;
     _lastReadArrival[req.loc.bank] = now;
+    unsettle(req.loc.bank);
     _readQ.push(req);
     requestSchedule(now);
 }
@@ -173,6 +176,7 @@ MemoryController::writeback(LogicalAddr addr)
     req.loc = _map.decode(addr);
     req.arrival = now;
     _writeBlocks.increment(blockNumber(addr));
+    unsettle(req.loc.bank);
     _writeQ.push(req);
     updateDrainState(now);
     requestSchedule(now);
@@ -193,6 +197,7 @@ MemoryController::eagerWrite(LogicalAddr addr)
     req.loc = _map.decode(addr);
     req.arrival = now;
     _writeBlocks.increment(blockNumber(addr));
+    unsettle(req.loc.bank);
     _eagerQ.push(req);
     requestSchedule(now);
     return true;
@@ -222,10 +227,12 @@ MemoryController::updateDrainState(Tick now)
         _draining = true;
         _drainStart = now;
         ++_stats.drainEntries;
+        unsettleAll();
     } else if (_draining &&
                _writeQ.size() <= _config.drainLowThreshold) {
         _draining = false;
         _drainTicks += now - _drainStart;
+        unsettleAll();
     }
 }
 
@@ -285,6 +292,7 @@ void
 MemoryController::requeueWrite(const MemRequest &req, Tick now)
 {
     _writeBlocks.increment(blockNumber(req.addr));
+    unsettle(req.loc.bank);
     if (req.type == ReqType::Write) {
         _writeQ.pushFront(req);
         updateDrainState(now);
@@ -293,14 +301,14 @@ MemoryController::requeueWrite(const MemRequest &req, Tick now)
     }
 }
 
-bool
+Tick
 MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
 {
     if (_readQ.countForBank(bank) == 0)
-        return false;
+        return MaxTick;
     // During a drain, banks with pending writes serve writes first.
     if (_draining && _writeQ.countForBank(bank) > 0)
-        return false;
+        return MaxTick;
 
     Bank &b = _banks[bank];
     if (!_draining) {
@@ -310,11 +318,16 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
             cancelBankWrite(bank, now);
     }
 
+    // A pause or a cancel above leaves the bank idle, so a busy bank
+    // here acted on nothing, and as it holds no pausable or
+    // cancellable write, none can come up while it stays busy.
     if (!b.idleAt(now)) {
         *nextWake = std::min(*nextWake, b.busyUntil());
-        return false;
+        return b.busyUntil();
     }
 
+    // The rank's activate window and the bus are shared with other
+    // banks, so what they decide is not settled.
     const MemRequest &head = _readQ.front(bank);
     bool row_hit = b.openRowTag() == head.loc.rowTag;
     if (!row_hit) {
@@ -322,12 +335,13 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
             _ranks[head.loc.rank].nextActivateAllowed(now, _timing.tFAW);
         if (allowed > now) {
             *nextWake = std::min(*nextWake, allowed);
-            return false;
+            return now;
         }
     }
     if (!busAvailable(now, nextWake))
-        return false;
+        return now;
 
+    unsettle(bank);
     const MemRequest req = _readQ.pop(bank);
     Tick access = _timing.readAccess(row_hit);
     Tick access_done = now + access;
@@ -358,10 +372,10 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
     _eventq.schedule(done, deliver);
     // The bank frees before the data burst completes; wake then.
     requestSchedule(access_done);
-    return true;
+    return now;
 }
 
-bool
+Tick
 MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
 {
     Bank &bank_state = _banks[bank];
@@ -370,11 +384,12 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
     // soon as the bank is clear of reads, before anything new issues.
     if (bank_state.hasPausedWrite()) {
         if (_readQ.countForBank(bank) > 0 && !_draining)
-            return false; // read events will wake us
+            return MaxTick; // read events will wake us
         if (!bank_state.idleAt(now)) {
             *nextWake = std::min(*nextWake, bank_state.busyUntil());
-            return false;
+            return bank_state.busyUntil();
         }
+        unsettle(bank);
         Tick done = bank_state.resumeWrite(now);
         _pausedBanks.clear(bank);
         ++_stats.resumedWrites;
@@ -383,12 +398,12 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
                       "write-completion callback must use the inline "
                       "slot");
         _writeCompletion[bank] = _eventq.schedule(done, std::move(fire));
-        return true;
+        return now;
     }
 
     WriteDecision dec = decideWrite(_config.policy, bankView(bank));
     if (dec == WriteDecision::None)
-        return false;
+        return MaxTick;
 
     // Recent-read guard: keep slow/eager writes off banks a read
     // stream is actively visiting (see MemControllerConfig).
@@ -399,7 +414,7 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
                          dec == WriteDecision::EagerNormal;
         if (eager_dec) {
             *nextWake = std::min(*nextWake, last_read + window);
-            return false;
+            return last_read + window;
         }
         if (dec == WriteDecision::SlowWrite && !_config.policy.globalSlow
             && !(_config.policy.wearQuota && quotaExceeded(bank))) {
@@ -407,14 +422,17 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
         }
     }
 
+    // Once passed, the guard stays passed, and a downgrade does not
+    // decide whether the bank can issue.
     Bank &b = _banks[bank];
     if (!b.idleAt(now)) {
         *nextWake = std::min(*nextWake, b.busyUntil());
-        return false;
+        return b.busyUntil();
     }
     if (!busAvailable(now, nextWake))
-        return false;
+        return now;
 
+    unsettle(bank);
     bool eager = dec == WriteDecision::EagerSlow ||
                  dec == WriteDecision::EagerNormal;
     bool slow = isSlowDecision(dec);
@@ -479,7 +497,7 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
 
     if (!eager)
         updateDrainState(now);
-    return true;
+    return now;
 }
 
 void
@@ -487,6 +505,7 @@ MemoryController::pauseBankWrite(BankId bank, Tick now)
 {
     Bank &b = _banks[bank];
     b.pauseWrite(now);
+    unsettle(bank);
     _pausedBanks.set(bank);
     ++_stats.pausedWrites;
     if (_writeCompletion[bank] != InvalidEventHandle) {
@@ -620,39 +639,79 @@ MemoryController::onWriteComplete(BankId bank)
 
     runLevelerMaintenance(bank, logical, now);
 
+    unsettle(bank);
     requestSchedule(now);
 }
 
 void
 MemoryController::trySchedule()
 {
+    schedulePass(nullptr);
+}
+
+void
+MemoryController::schedulePass(SettledHook onSettled)
+{
     Tick now = _eventq.curTick();
     updateDrainState(now);
 
-    // Both passes used to probe every bank; they now walk the
-    // incrementally maintained non-empty masks in the same ascending
-    // bank order. This cannot change any decision: a bank outside a
-    // mask makes tryIssueRead/tryIssueWrite return false immediately
-    // with no side effects and no *nextWake update. The masks are
-    // snapshotted because issuing mutates them (pops empty banks out),
-    // and the write mask is built only after the read pass, which can
-    // requeue cancelled writes. The snapshots are copy-assigned into
-    // member scratch masks of the same size, so the vector storage is
-    // reused and a pass allocates nothing. A pass never re-enters
-    // itself: requestSchedule only arms the next one.
+    // Both passes walk the incrementally maintained non-empty masks
+    // in ascending bank order. A bank outside a mask makes
+    // tryIssueRead/tryIssueWrite return with no side effects and no
+    // *nextWake update, so skipping it changes no decision. The masks
+    // are snapshotted because issuing mutates them (pops empty banks
+    // out), and the write mask is built only after the read pass,
+    // which can requeue cancelled writes. The snapshots are
+    // copy-assigned into member scratch masks of the same size, so a
+    // pass allocates nothing. A pass never re-enters itself:
+    // requestSchedule only arms the next one.
+    //
+    // A bank side whose last evaluation settled is not evaluated
+    // again; its recorded wake is folded instead. Every change that
+    // could alter the outcome drops it first (unsettle()), including
+    // the changes earlier banks make in this same pass, so each
+    // evaluation still sees exactly what the full walk would have
+    // shown it, and next_wake is the full walk's.
     Tick next_wake = MaxTick;
+    auto visit = [&](BankId bank, Settled &settled, bool writeSide,
+                     auto evaluate) {
+        if (now < settled.until) {
+            if (onSettled != nullptr)
+                onSettled(*this, bank, writeSide, settled.wake);
+            next_wake = std::min(next_wake, settled.wake);
+            return;
+        }
+        Tick wake = MaxTick;
+        const Tick until = evaluate(&wake);
+        settled = Settled{until, wake};
+        next_wake = std::min(next_wake, wake);
+    };
+
     _readableScratch = _readQ.nonEmptyBanks();
-    _readableScratch.forEach(
-        [&](BankId bank) { tryIssueRead(bank, now, &next_wake); });
+    _readableScratch.forEach([&](BankId bank) {
+        visit(bank, _settled[bank].read, false, [&](Tick *wake) {
+            return tryIssueRead(bank, now, wake);
+        });
+    });
 
     _writableScratch = _writeQ.nonEmptyBanks();
     _writableScratch |= _eagerQ.nonEmptyBanks();
     _writableScratch |= _pausedBanks; // a parked resume needs no entry
-    _writableScratch.forEach(
-        [&](BankId bank) { tryIssueWrite(bank, now, &next_wake); });
+    _writableScratch.forEach([&](BankId bank) {
+        visit(bank, _settled[bank].write, true, [&](Tick *wake) {
+            return tryIssueWrite(bank, now, wake);
+        });
+    });
 
     if (next_wake != MaxTick)
         requestSchedule(next_wake);
+}
+
+void
+MemoryController::unsettleAll()
+{
+    for (BankSettled &s : _settled)
+        s = BankSettled{};
 }
 
 void

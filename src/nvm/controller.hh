@@ -170,6 +170,8 @@ struct MemControllerStats
     }
 };
 
+struct MemoPassProbe;
+
 /**
  * The memory controller. One instance per channel (the evaluated
  * system has a single channel).
@@ -279,9 +281,46 @@ class MemoryController : public MemoryPort
     }
 
   private:
+    /** Lets the unit tests re-evaluate every settled bank side. */
+    friend struct MemoPassProbe;
+
     // --- Scheduling -------------------------------------------------
+    /**
+     * What one side (read or write) of a bank concluded the last time
+     * it was evaluated and could not act for a reason of its own: a
+     * busy bank, a recent read, or nothing it may issue. Until
+     * `until`, every pass would again do nothing on that side and
+     * fold `wake` into its next wake-up, unless the bank's queues or
+     * device state, the drain mode or the quota flags change first;
+     * each such change drops it (unsettle()). An outcome the shared
+     * bus or a rank's activate window decided is never kept.
+     */
+    struct Settled
+    {
+        Tick until = 0; ///< 0: nothing settled
+        Tick wake = MaxTick;
+    };
+    struct BankSettled
+    {
+        Settled read;
+        Settled write;
+    };
+
+    /** Called on each settled side a pass skips (tests only). */
+    using SettledHook = void (*)(MemoryController &, BankId bank,
+                                 bool writeSide, Tick wake);
+
     /** Run one scheduling pass; issues everything issueable now. */
     void trySchedule();
+
+    /** The pass itself; @p onSettled may be null. */
+    void schedulePass(SettledHook onSettled);
+
+    /** Drop @p bank's settled outcomes: something they read changed. */
+    void unsettle(BankId bank) { _settled[bank] = BankSettled{}; }
+
+    /** Drop every bank's: the drain mode or the quota flags changed. */
+    void unsettleAll();
 
     /**
      * Request a scheduling pass at tick @p when: arms the pass timer
@@ -289,11 +328,18 @@ class MemoryController : public MemoryPort
      */
     void requestSchedule(Tick when);
 
-    /** Issue the oldest read for @p bank if possible. */
-    bool tryIssueRead(BankId bank, Tick now, Tick *nextWake);
+    /**
+     * Issue the oldest read for @p bank if possible.
+     * @return Until when the outcome is settled (see Settled): @p now
+     *         if the call acted or the bus or the rank decided.
+     */
+    Tick tryIssueRead(BankId bank, Tick now, Tick *nextWake);
 
-    /** Issue a write/eager write for @p bank per Figure 9. */
-    bool tryIssueWrite(BankId bank, Tick now, Tick *nextWake);
+    /**
+     * Issue a write/eager write for @p bank per Figure 9.
+     * @return As tryIssueRead().
+     */
+    Tick tryIssueWrite(BankId bank, Tick now, Tick *nextWake);
 
     /** Cancel the bank's in-flight write and requeue it. */
     void cancelBankWrite(BankId bank, Tick now);
@@ -380,6 +426,8 @@ class MemoryController : public MemoryPort
      */
     IndexMask<BankId> _readableScratch;
     IndexMask<BankId> _writableScratch;
+    /** Each bank's settled pass outcomes. */
+    IndexedVector<BankId, BankSettled> _settled;
 
     Tick _busNextFree = 0;
 

@@ -365,13 +365,27 @@ class EventQueue
     [[nodiscard]] bool
     tryAdvance(Tick when)
     {
-        if (when < _curTick || when >= _horizon ||
-            (!_heap.empty() && _heap.front().when <= when) ||
-            (!_timerHeap.empty() && _timerHeap.front().when <= when)) {
+        if (when < _curTick || when >= advanceLimit())
             return false;
-        }
         _curTick = when;
         return true;
+    }
+
+    /**
+     * The first tick tryAdvance() refuses: the lowest of the horizon
+     * of the executing step()/run() call, the earliest heap entry
+     * (live or lazily cancelled) and the earliest armed timer. From
+     * inside an event, tryAdvance(when) succeeds exactly for
+     * curTick() <= when < advanceLimit(), so a periodic poller can
+     * count in O(1) how many of its polls would each have been the
+     * queue's next event. Nothing that runs inside the event without
+     * scheduling or arming moves the limit.
+     */
+    [[nodiscard]] Tick
+    advanceLimit() const
+    {
+        const Tick pending = minPendingTick();
+        return pending < _horizon ? pending : _horizon;
     }
 
   private:

@@ -16,6 +16,61 @@
 using namespace mellowsim;
 using namespace mellowsim::policies;
 
+namespace mellowsim
+{
+
+/**
+ * Routes a controller's scheduling pass through a check: on every
+ * bank side the pass skips as settled, evaluate that side afresh,
+ * right there in the pass. The evaluation must issue, cancel, pause
+ * and resume nothing and must fold the same wake-up.
+ */
+struct MemoPassProbe
+{
+    /** Settled sides checked, and those that disagreed. */
+    static inline std::uint64_t checked = 0;
+    static inline std::uint64_t mismatches = 0;
+
+    /** Call right after construction, before any traffic. */
+    static void
+    install(MemoryController &ctrl)
+    {
+        ctrl._pass = ctrl._eventq.addTimer(
+            [&ctrl] { ctrl.schedulePass(&reevaluate); });
+    }
+
+    static void
+    reevaluate(MemoryController &ctrl, BankId bank, bool writeSide,
+               Tick wake)
+    {
+        const auto before = actions(ctrl);
+        const Tick now = ctrl._eventq.curTick();
+        Tick fresh = MaxTick;
+        if (writeSide)
+            ctrl.tryIssueWrite(bank, now, &fresh);
+        else
+            ctrl.tryIssueRead(bank, now, &fresh);
+        const bool same = actions(ctrl) == before && fresh == wake;
+        EXPECT_TRUE(same) << "bank " << bank.value()
+                          << (writeSide ? " write" : " read")
+                          << " side at tick " << now << ": wake " << fresh
+                          << " vs settled " << wake;
+        ++checked;
+        mismatches += same ? 0 : 1;
+    }
+
+    static std::array<std::uint64_t, 5>
+    actions(const MemoryController &ctrl)
+    {
+        const MemControllerStats &s = ctrl.stats();
+        return {s.issuedReads.value(), s.totalWriteIssues(),
+                s.cancelledWrites.value(), s.pausedWrites.value(),
+                s.resumedWrites.value()};
+    }
+};
+
+} // namespace mellowsim
+
 namespace
 {
 
@@ -638,4 +693,85 @@ TEST(Controller, PausedWriteBlocksNewWritesUntilResumed)
     EXPECT_EQ(f.ctrl.stats().issuedSlowWrites.value(), 2u);
     EXPECT_EQ(f.ctrl.wearTracker().bankStats(BankId(0)).slowWrites, 2u);
     EXPECT_EQ(f.ctrl.stats().resumedWrites.value(), 1u);
+}
+
+TEST(Controller, MemoizedPassMatchesFullWalk)
+{
+    // Random reads, write backs and eager writes over four banks with
+    // a short write queue (drains), a short Wear Quota period and
+    // fault-injected verify retries. Every settled side the pass
+    // skips is re-evaluated in place by the probe.
+    struct Case
+    {
+        const char *name;
+        WritePolicyConfig policy;
+    };
+    for (const Case &c :
+         {Case{"Norm", norm()}, Case{"BE-Mellow+SC", beMellow().withSC()},
+          Case{"BE-Mellow+SC+WP", beMellow().withSC().withWP()},
+          Case{"BE-Mellow+SC+WQ", beMellow().withSC().withWQ()}}) {
+        SCOPED_TRACE(c.name);
+        MemControllerConfig cfg = smallConfig(c.policy);
+        cfg.writeQueueSize = 8;
+        cfg.drainLowThreshold = 4;
+        cfg.eagerQueueSize = 8;
+        // Short quota periods with a budget that about half of them
+        // exceed, so the slow-only flags keep flipping.
+        cfg.quota.samplePeriod = 5 * kMicrosecond;
+        cfg.quota.targetLifetimeYears = 0.005;
+        cfg.fault.enabled = true;
+        cfg.fault.transientFailProb = 0.2;
+        EventQueue eq;
+        MemoryController ctrl(eq, cfg);
+        MemoPassProbe::install(ctrl);
+        MemoPassProbe::checked = 0;
+        MemoPassProbe::mismatches = 0;
+
+        std::uint64_t rng = 0x2545f4914f6cdd1dull;
+        auto next = [&rng] {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            return rng;
+        };
+        for (int op = 0; op < 12000; ++op) {
+            const LogicalAddr addr =
+                bankAddr(static_cast<unsigned>(next() % 4), next() % 64);
+            switch (next() % 6) {
+              case 0:
+              case 1:
+                ctrl.writeback(addr);
+                break;
+              case 2:
+                ctrl.eagerWrite(addr);
+                break;
+              default:
+                ctrl.read(addr, [] {});
+                break;
+            }
+            if (next() % 4 == 0)
+                eq.run(eq.curTick() + next() % (2 * kMicrosecond));
+            else
+                eq.step();
+            ASSERT_EQ(MemoPassProbe::mismatches, 0u) << "op " << op;
+        }
+        eq.run(eq.curTick() + 50 * kMicrosecond);
+
+        const MemControllerStats &st = ctrl.stats();
+        EXPECT_GT(MemoPassProbe::checked, 10000u);
+        EXPECT_GT(st.drainEntries.value(), 0u);
+        EXPECT_GT(st.retriedWrites.value(), 0u);
+        if (c.policy.cancelSlow && !c.policy.pauseWrites) {
+            EXPECT_GT(st.cancelledWrites.value(), 0u);
+        }
+        if (c.policy.pauseWrites) {
+            EXPECT_GT(st.pausedWrites.value(), 0u);
+            EXPECT_GT(st.resumedWrites.value(), 0u);
+        }
+        if (c.policy.wearQuota) {
+            const WearQuota &q = *ctrl.wearQuota();
+            EXPECT_GT(q.slowOnlyPeriods(BankId(0)), q.numPeriods() / 4);
+            EXPECT_LT(q.slowOnlyPeriods(BankId(0)), q.numPeriods() * 3 / 4);
+        }
+    }
 }

@@ -401,6 +401,87 @@ namespace
 {
 
 /**
+ * Random events plus a self-re-arming timer. Every fire walks
+ * tryAdvance() up from the current tick, one tick at a time, and
+ * checks each answer against advanceLimit() read before the walk.
+ * Every third fire first schedules an event and cancels it: the
+ * kernel drops cancelled entries only when it picks the next event,
+ * so that entry can be the heap top during the walk.
+ */
+class AdvanceLimitWalk
+{
+  public:
+    AdvanceLimitWalk()
+    {
+        std::mt19937_64 gen(2024);
+        _timer = _eq.addTimer([this] {
+            walk();
+            _eq.arm(_timer, _eq.curTick() + 1 + _eq.curTick() % 37);
+        });
+        _eq.arm(_timer, 3);
+        for (int i = 0; i < 400; ++i)
+            _eq.schedule(gen() % 6000, [this] { walk(); });
+    }
+
+    EventQueue &eq() { return _eq; }
+    std::uint64_t advanced() const { return _advanced; }
+    std::uint64_t refused() const { return _refused; }
+    std::uint64_t cutByCancelled() const { return _cutByCancelled; }
+
+  private:
+    void
+    walk()
+    {
+        Tick dead = MaxTick;
+        if (++_fires % 3 == 0) {
+            dead = _eq.curTick() + 1 + _fires % 29;
+            _eq.deschedule(_eq.schedule(dead, [] {}));
+        }
+        const Tick limit = _eq.advanceLimit();
+        _cutByCancelled += limit == dead;
+        const Tick from = _eq.curTick();
+        for (Tick when = from; when < from + 48; ++when) {
+            const bool ok = _eq.tryAdvance(when);
+            EXPECT_EQ(ok, when < limit)
+                << "from " << from << " when " << when << " limit "
+                << limit;
+            ++(ok ? _advanced : _refused);
+        }
+    }
+
+    EventQueue _eq;
+    TimerHandle _timer;
+    std::uint64_t _fires = 0;
+    std::uint64_t _advanced = 0;
+    std::uint64_t _refused = 0;
+    std::uint64_t _cutByCancelled = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, AdvanceLimitAgreesWithTryAdvance)
+{
+    EventQueue idle;
+    EXPECT_EQ(idle.advanceLimit(), 0u); // outside step()/run()
+
+    // Under run(stopAt) windows, whose horizon bounds the limit, on
+    // and off the timer's ticks; then under bare step() calls.
+    AdvanceLimitWalk w;
+    for (Tick stop : {Tick(17), Tick(400), Tick(401), Tick(1234),
+                      Tick(3000)})
+        w.eq().run(stop);
+    EXPECT_EQ(w.eq().advanceLimit(), 0u);
+    for (int i = 0; i < 500; ++i)
+        ASSERT_TRUE(w.eq().step());
+    EXPECT_GT(w.advanced(), 1000u);
+    EXPECT_GT(w.refused(), 1000u);
+    EXPECT_GT(w.cutByCancelled(), 10u);
+}
+
+namespace
+{
+
+/**
  * A periodic poller mixed with unrelated events, run either as one
  * event per poll (the reference) or batched through tryAdvance().
  * Every fire is logged as (id, tick); polls log id -1. Some polls

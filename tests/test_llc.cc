@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
+#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,104 @@
 
 using namespace mellowsim;
 using namespace mellowsim::policies;
+
+namespace mellowsim
+{
+
+/**
+ * Reaches the LLC's scan timer: re-registers it with a test action,
+ * runs the per-poll reference scan, and reads the scan's RNG and
+ * successor.
+ */
+struct LlcScanProbe
+{
+    /**
+     * Re-register @p llc's scan timer with @p action, armed where the
+     * old one was. Arming draws one sequence number, so two LLCs that
+     * both go through this stay in lockstep.
+     */
+    static void
+    install(Llc &llc, InlineCallback action)
+    {
+        const Tick at = llc._eventq.armedAt(llc._scan);
+        llc._eventq.disarm(llc._scan);
+        llc._scan = llc._eventq.addTimer(action);
+        llc._eventq.arm(llc._scan, at);
+    }
+
+    static void batch(Llc &llc) { llc.onScan(); }
+
+    /**
+     * One poll as its own unit: the gate, a scan count, the useless
+     * boundary, one set draw and its candidate search.
+     */
+    static std::optional<LogicalAddr>
+    poll(Llc &llc)
+    {
+        if (!llc._controller.eagerQueueHasSpace())
+            return std::nullopt;
+        ++llc._stats.eagerScans;
+        const unsigned from =
+            llc._config.selector == EagerSelector::UselessLru
+                ? llc._profiler.uselessFrom()
+                : 0;
+        if (from >= llc._array.assoc())
+            return std::nullopt;
+        const std::uint64_t set =
+            llc._rng.nextBounded(llc._array.numSets());
+        std::uint64_t dirty = llc._array.dirtyMask(set) >> from << from;
+        while (dirty != 0) {
+            const unsigned pos =
+                static_cast<unsigned>(std::bit_width(dirty)) - 1;
+            const std::uint32_t stamp = llc._array.stampAt(set, pos);
+            if (llc._config.selector == EagerSelector::UselessLru ||
+                (llc._period >= stamp &&
+                 llc._period - stamp >= llc._config.deadAfterPeriods)) {
+                return llc._array.blockAt(set, pos);
+            }
+            dirty &= ~(std::uint64_t{1} << pos);
+        }
+        return std::nullopt;
+    }
+
+    /**
+     * The reference scan: one poll per tryAdvance(), exactly as one
+     * event per poll would run them.
+     */
+    static void
+    reference(Llc &llc)
+    {
+        for (;;) {
+            const Tick next =
+                llc._eventq.curTick() + llc._config.scanInterval;
+            const std::optional<LogicalAddr> candidate = poll(llc);
+            if (!candidate && llc._eventq.tryAdvance(next))
+                continue;
+            llc._eventq.arm(llc._scan, next);
+            if (candidate && llc._controller.eagerWrite(*candidate)) {
+                llc._array.cleanLineForEagerWrite(*candidate);
+                ++llc._stats.eagerSent;
+            }
+            return;
+        }
+    }
+
+    /** The next two draws of the scan's RNG, from a copy. */
+    static std::pair<std::uint64_t, std::uint64_t>
+    rngState(const Llc &llc)
+    {
+        Rng copy = llc._rng;
+        const std::uint64_t a = copy.next();
+        return {a, copy.next()};
+    }
+
+    static Tick successor(const Llc &llc)
+    {
+        return llc._eventq.armedAt(llc._scan);
+    }
+};
+
+} // namespace mellowsim
 
 namespace
 {
@@ -353,4 +454,202 @@ TEST(Llc, EagerScanSchedulesItsSuccessorBeforeTheWrite)
     ASSERT_NE(ctrl, port.log.end());
     ASSERT_NE(ctrl, port.log.begin());
     EXPECT_EQ(*std::prev(ctrl), std::make_pair('g', ctrl->second));
+}
+
+namespace
+{
+
+/**
+ * Memory port whose eager-queue gate is a flag. It logs every eager
+ * write, refuses every fifth, and answers each with a same-tick
+ * controller-side event, as the real controller's pass would be.
+ */
+class GatePort : public MemoryPort
+{
+  public:
+    explicit GatePort(EventQueue &eq) : _eq(eq) {}
+
+    void read(LogicalAddr, ReadCallback) override {}
+    void writeback(LogicalAddr) override {}
+
+    bool
+    eagerWrite(LogicalAddr addr) override
+    {
+        sent.emplace_back(addr, _eq.curTick());
+        _eq.schedule(_eq.curTick(), [] {});
+        return sent.size() % 5 != 0;
+    }
+
+    [[nodiscard]] bool
+    eagerQueueHasSpace() const override
+    {
+        return open;
+    }
+
+    bool open = true;
+    std::vector<std::pair<LogicalAddr, Tick>> sent;
+
+  private:
+    EventQueue &_eq;
+};
+
+/**
+ * One LLC under scripted traffic, its scan timer running either the
+ * batch or the per-poll reference. The script depends only on a
+ * fixed seed, so two scenarios draw identical event sequences. Over
+ * 20-us profiling periods it alternates a hot phase (blocks that fit
+ * the cache, hits at every stack position: nothing useless) with a
+ * cold one (mostly misses); it toggles the gate and schedules events
+ * on a poll tick and one tick after it. The dispatcher then ahead of
+ * every seventh scan schedules an event and cancels it, which leaves a
+ * cancelled entry as the heap top (the kernel pops cancelled tops only
+ * when it picks the next event).
+ */
+struct ScanScenario
+{
+    static constexpr Tick kPeriod = 20 * kMicrosecond;
+    static constexpr Tick kEnd = 12 * kPeriod;
+
+    EventQueue eq;
+    GatePort port{eq};
+    Llc llc;
+    bool batched;
+    unsigned scans = 0;
+    std::set<Tick> cancelledTicks;
+    // Batches by the case they exercise (batched scenario only).
+    unsigned gateClosed = 0;
+    unsigned nothingUseless = 0;
+    unsigned cutNextTick = 0;
+    unsigned cutByCancelled = 0;
+
+    static LlcConfig
+    config(EagerSelector selector)
+    {
+        LlcConfig c = llcConfig(true);
+        c.profiler.samplePeriod = kPeriod;
+        c.selector = selector;
+        c.deadAfterPeriods = 1;
+        return c;
+    }
+
+    ScanScenario(EagerSelector selector, bool batch)
+        : llc(eq, config(selector), port, 7), batched(batch)
+    {
+        LlcScanProbe::install(llc, [this] { scan(); });
+
+        const Tick interval = llc.config().scanInterval;
+        Rng script(99);
+        for (int i = 0; i < 2400; ++i) {
+            const Tick when = script.nextBounded(kEnd);
+            const bool hot = (when / kPeriod) % 2 == 0;
+            const std::uint64_t block =
+                script.nextBounded(hot ? 64 : 1024);
+            const LogicalAddr addr(block * kBlockSize);
+            switch (script.nextBounded(8)) {
+              case 0:
+                eq.schedule(when, [this] { port.open = !port.open; });
+                break;
+              case 1: {
+                const Tick grid = when - when % interval;
+                eq.schedule(grid, [] {});
+                eq.schedule(grid + 1, [] {});
+                break;
+              }
+              case 2:
+              case 3:
+                eq.schedule(when,
+                            [this, addr] { llc.writebackFromUpper(addr); });
+                break;
+              default:
+                eq.schedule(when, [this, addr, block] {
+                    llc.access(addr, block % 3 == 0);
+                    llc.fillFromMemory(addr);
+                });
+                break;
+            }
+        }
+    }
+
+    void
+    scan()
+    {
+        if (++scans % 7 == 0) {
+            const Tick dead = eq.curTick() + 1 + scans % 40;
+            eq.deschedule(eq.schedule(dead, [] {}));
+            cancelledTicks.insert(dead);
+        }
+        if (batched) {
+            noteBatch();
+            LlcScanProbe::batch(llc);
+        } else {
+            LlcScanProbe::reference(llc);
+        }
+    }
+
+    void
+    noteBatch()
+    {
+        const Tick start = eq.curTick();
+        const Tick limit = eq.advanceLimit();
+        if (!port.open) {
+            ++gateClosed;
+        } else if (llc.config().selector == EagerSelector::UselessLru &&
+                   llc.profiler().uselessFrom() >= llc.array().assoc()) {
+            ++nothingUseless;
+        }
+        cutNextTick += limit == start + 1;
+        cutByCancelled += cancelledTicks.count(limit) != 0;
+    }
+};
+
+void
+expectSameScan(const ScanScenario &batch, const ScanScenario &ref)
+{
+    ASSERT_EQ(batch.eq.curTick(), ref.eq.curTick());
+    ASSERT_EQ(batch.llc.stats().eagerScans.value(),
+              ref.llc.stats().eagerScans.value());
+    ASSERT_EQ(batch.llc.stats().eagerSent.value(),
+              ref.llc.stats().eagerSent.value());
+    ASSERT_EQ(LlcScanProbe::rngState(batch.llc),
+              LlcScanProbe::rngState(ref.llc));
+    ASSERT_EQ(LlcScanProbe::successor(batch.llc),
+              LlcScanProbe::successor(ref.llc));
+    ASSERT_EQ(batch.port.sent, ref.port.sent);
+}
+
+} // namespace
+
+TEST(Llc, ScanBatchMatchesPerPollReference)
+{
+    // The batch against one poll per tryAdvance(), compared after
+    // every step() and every run() window: same tick, RNG state,
+    // eagerScans, sent candidates and armed successor.
+    for (EagerSelector selector :
+         {EagerSelector::UselessLru, EagerSelector::DecayDeadBlock}) {
+        SCOPED_TRACE(selector == EagerSelector::UselessLru ? "UselessLru"
+                                                           : "DecayDeadBlock");
+        ScanScenario batch(selector, true);
+        ScanScenario ref(selector, false);
+        for (unsigned round = 0; batch.eq.curTick() < ScanScenario::kEnd;
+             ++round) {
+            if (round % 50 == 49) {
+                // A horizon off the poll grid.
+                const Tick stop = batch.eq.curTick() + 997;
+                batch.eq.run(stop);
+                ref.eq.run(stop);
+            } else {
+                ASSERT_TRUE(batch.eq.step());
+                ASSERT_TRUE(ref.eq.step());
+            }
+            ASSERT_NO_FATAL_FAILURE(expectSameScan(batch, ref))
+                << "round " << round;
+        }
+        EXPECT_GT(batch.llc.stats().eagerSent.value(), 20u);
+        EXPECT_GT(batch.gateClosed, 0u);
+        EXPECT_GT(batch.cutNextTick, 0u);
+        EXPECT_GT(batch.cutByCancelled, 0u);
+        if (selector == EagerSelector::UselessLru) {
+            EXPECT_GT(batch.nothingUseless, 0u);
+        }
+    }
 }
