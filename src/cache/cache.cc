@@ -1,6 +1,5 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "sim/logging.hh"
@@ -16,6 +15,20 @@ constexpr std::uint64_t
 posBit(unsigned pos)
 {
     return std::uint64_t{1} << pos;
+}
+
+/**
+ * Move LRU positions 0..@p n-1 of a set down by one (into 1..n). A
+ * plain loop rather than std::copy_backward, which calls memmove: a
+ * set holds at most 64 lines, and every hit and fill shifts one.
+ */
+void
+shiftDown(LogicalAddr *tags, std::uint32_t *stamps, unsigned n)
+{
+    for (unsigned pos = n; pos > 0; --pos) {
+        tags[pos] = tags[pos - 1];
+        stamps[pos] = stamps[pos - 1];
+    }
 }
 
 } // namespace
@@ -87,8 +100,7 @@ SetAssocCache::access(LogicalAddr addr, bool isWrite, bool updateLru,
         // mask shifts out to 0, as it should.
         LogicalAddr *tags = &_tags[base];
         std::uint32_t *stamps = &_stamps[base];
-        std::copy_backward(tags, tags + pos, tags + pos + 1);
-        std::copy_backward(stamps, stamps + pos, stamps + pos + 1);
+        shiftDown(tags, stamps, pos);
         tags[0] = block;
         stamps[0] = stamp;
         const std::uint64_t above = ~((posBit(pos) << 1) - 1);
@@ -128,8 +140,7 @@ SetAssocCache::insertAt(std::uint64_t index, LogicalAddr block,
     // position; the new line is MRU.
     LogicalAddr *tags = &_tags[base];
     std::uint32_t *stamps = &_stamps[base];
-    std::copy_backward(tags, tags + lru, tags + _assoc);
-    std::copy_backward(stamps, stamps + lru, stamps + _assoc);
+    shiftDown(tags, stamps, lru);
     tags[0] = block;
     stamps[0] = stamp;
     dirty_mask = ((dirty_mask & ~posBit(lru)) << 1) |

@@ -184,6 +184,12 @@ bindDeviceConfig(const ConfigFile &cfg, const std::string &name)
         cfg.countOr("MaxWriteCancellations", c.maxWriteCancellations));
     c.levelingEfficiency =
         cfg.ratioOr("LevelingEfficiency", c.levelingEfficiency);
+    // Checked here, once per load, rather than only when each System
+    // builds its wear tracker (which keeps its own check for configs
+    // built in code): a sweep would otherwise report it per config.
+    fatal_if(!(c.levelingEfficiency > 0.0 && c.levelingEfficiency <= 1.0),
+             "config %s: LevelingEfficiency must be in (0, 1] (got %g)",
+             src.c_str(), c.levelingEfficiency);
 
     return dev;
 }

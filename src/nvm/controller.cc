@@ -661,9 +661,10 @@ MemoryController::schedulePass(SettledHook onSettled)
     // *nextWake update, so skipping it changes no decision. The masks
     // are snapshotted because issuing mutates them (pops empty banks
     // out), and the write mask is built only after the read pass,
-    // which can requeue cancelled writes. The snapshots are
-    // copy-assigned into member scratch masks of the same size, so a
-    // pass allocates nothing. A pass never re-enters itself:
+    // which can requeue cancelled writes. The snapshots are copied
+    // word by word into member scratch masks of the same size, so a
+    // pass allocates nothing and calls no memmove. A pass never
+    // re-enters itself:
     // requestSchedule only arms the next one.
     //
     // A bank side whose last evaluation settled is not evaluated
@@ -687,14 +688,14 @@ MemoryController::schedulePass(SettledHook onSettled)
         next_wake = std::min(next_wake, wake);
     };
 
-    _readableScratch = _readQ.nonEmptyBanks();
+    _readableScratch.assign(_readQ.nonEmptyBanks());
     _readableScratch.forEach([&](BankId bank) {
         visit(bank, _settled[bank].read, false, [&](Tick *wake) {
             return tryIssueRead(bank, now, wake);
         });
     });
 
-    _writableScratch = _writeQ.nonEmptyBanks();
+    _writableScratch.assign(_writeQ.nonEmptyBanks());
     _writableScratch |= _eagerQ.nonEmptyBanks();
     _writableScratch |= _pausedBanks; // a parked resume needs no entry
     _writableScratch.forEach([&](BankId bank) {

@@ -73,6 +73,22 @@ class IndexMask
         return false;
     }
 
+    /**
+     * Copy @p other's bits into this mask in place; both masks must
+     * cover the same id range. Unlike copy-assignment (a memmove call
+     * even for one word) this is a plain loop over the words, so a
+     * per-pass snapshot calls no library code.
+     */
+    void
+    assign(const IndexMask &other)
+    {
+        panic_if(other._bits != _bits,
+                 "IndexMask assign over mismatched sizes (%zu vs %zu)",
+                 _bits, other._bits);
+        for (std::size_t w = 0; w < _words.size(); ++w)
+            _words[w] = other._words[w];
+    }
+
     /** Union; both masks must cover the same id range. */
     IndexMask &
     operator|=(const IndexMask &other)

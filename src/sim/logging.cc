@@ -26,6 +26,35 @@ emitLine(std::FILE *stream, const char *prefix, const std::string &msg)
     std::fprintf(stream, "%s%s\n", prefix, msg.c_str());
 }
 
+/** logFormat() over a va_list; consumes @p args. */
+std::string
+vlogFormat(const char *fmt, va_list args)
+{
+    va_list args_copy;
+    va_copy(args_copy, args);
+    int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    if (needed < 0) {
+        va_end(args_copy);
+        return std::string("<format error>");
+    }
+    std::vector<char> buf(static_cast<size_t>(needed) + 1);
+    std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
+    va_end(args_copy);
+    return std::string(buf.data(), static_cast<size_t>(needed));
+}
+
+/** Print "<kind>: <msg> (<file>:<line>)" and throw it as @p Error. */
+template <typename Error>
+[[noreturn]] void
+reportAndThrow(const char *kind, const char *file, int line,
+               const std::string &msg)
+{
+    std::string full =
+        logFormat("%s: %s (%s:%d)", kind, msg.c_str(), file, line);
+    emitLine(stderr, "", full);
+    throw Error(full);
+}
+
 } // namespace
 
 void
@@ -45,36 +74,29 @@ logFormat(const char *fmt, ...)
 {
     va_list args;
     va_start(args, fmt);
-    va_list args_copy;
-    va_copy(args_copy, args);
-    int needed = std::vsnprintf(nullptr, 0, fmt, args);
+    std::string msg = vlogFormat(fmt, args);
     va_end(args);
-    if (needed < 0) {
-        va_end(args_copy);
-        return std::string("<format error>");
-    }
-    std::vector<char> buf(static_cast<size_t>(needed) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
-    va_end(args_copy);
-    return std::string(buf.data(), static_cast<size_t>(needed));
+    return msg;
 }
 
 void
-panicImpl(const char *file, int line, const std::string &msg)
+panicFormat(const char *file, int line, const char *fmt, ...)
 {
-    std::string full =
-        logFormat("panic: %s (%s:%d)", msg.c_str(), file, line);
-    emitLine(stderr, "", full);
-    throw PanicError(full);
+    va_list args;
+    va_start(args, fmt);
+    const std::string msg = vlogFormat(fmt, args);
+    va_end(args);
+    reportAndThrow<PanicError>("panic", file, line, msg);
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalFormat(const char *file, int line, const char *fmt, ...)
 {
-    std::string full =
-        logFormat("fatal: %s (%s:%d)", msg.c_str(), file, line);
-    emitLine(stderr, "", full);
-    throw FatalError(full);
+    va_list args;
+    va_start(args, fmt);
+    const std::string msg = vlogFormat(fmt, args);
+    va_end(args);
+    reportAndThrow<FatalError>("fatal", file, line, msg);
 }
 
 void

@@ -9,6 +9,15 @@
  *            (bad configuration, invalid arguments). Throws FatalError.
  * warn()   — something is suspicious but the simulation continues.
  * inform() — normal operating status.
+ *
+ * panic()/fatal() expand to a single call of a cold, out-of-line,
+ * printf-style function (panicFormat/fatalFormat) that formats the
+ * message itself, and panic_if()/fatal_if() mark their branch
+ * [[unlikely]]. A check site therefore costs one compare and a
+ * branch to a call, with no std::string built inline, so the small
+ * accessors that carry bounds checks (IndexedVector, IndexMask,
+ * EventQueue::drawSeq) stay small enough to inline into the hot
+ * path.
  */
 
 #ifndef MELLOWSIM_SIM_LOGGING_HH
@@ -55,15 +64,19 @@ class Logger
 std::string logFormat(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/** Report an internal simulator bug and throw PanicError. */
+/** Report an internal simulator bug and throw PanicError; the
+ * message is formatted with printf semantics. */
 // mlint: allow(raw-addr-param): source location, not a memory address
-[[noreturn]] void panicImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn, gnu::cold]] void panicFormat(const char *file, int line,
+                                         const char *fmt, ...)
+    __attribute__((format(printf, 3, 4)));
 
-/** Report an unrecoverable user error and throw FatalError. */
+/** Report an unrecoverable user error and throw FatalError; the
+ * message is formatted with printf semantics. */
 // mlint: allow(raw-addr-param): source location, not a memory address
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn, gnu::cold]] void fatalFormat(const char *file, int line,
+                                         const char *fmt, ...)
+    __attribute__((format(printf, 3, 4)));
 
 /** Print a warning to stderr (unless quiet). */
 void warnImpl(const std::string &msg);
@@ -74,12 +87,10 @@ void informImpl(const std::string &msg);
 } // namespace mellowsim
 
 #define panic(...) \
-    ::mellowsim::panicImpl(__FILE__, __LINE__, \
-                           ::mellowsim::logFormat(__VA_ARGS__))
+    ::mellowsim::panicFormat(__FILE__, __LINE__, __VA_ARGS__)
 
 #define fatal(...) \
-    ::mellowsim::fatalImpl(__FILE__, __LINE__, \
-                           ::mellowsim::logFormat(__VA_ARGS__))
+    ::mellowsim::fatalFormat(__FILE__, __LINE__, __VA_ARGS__)
 
 #define warn(...) \
     ::mellowsim::warnImpl(::mellowsim::logFormat(__VA_ARGS__))
@@ -90,7 +101,7 @@ void informImpl(const std::string &msg);
 /** panic() unless the given condition holds. */
 #define panic_if(cond, ...) \
     do { \
-        if (cond) { \
+        if (cond) [[unlikely]] { \
             panic(__VA_ARGS__); \
         } \
     } while (0)
@@ -98,7 +109,7 @@ void informImpl(const std::string &msg);
 /** fatal() unless the given condition holds. */
 #define fatal_if(cond, ...) \
     do { \
-        if (cond) { \
+        if (cond) [[unlikely]] { \
             fatal(__VA_ARGS__); \
         } \
     } while (0)

@@ -8,6 +8,14 @@
  * bit-reproducible. std::mt19937 is deliberately avoided: its state is
  * large and its distributions are implementation-defined across
  * standard libraries.
+ *
+ * The geometric gap draw runs once per workload op, warm-up included,
+ * so it avoids libm: geometricFromDraw() evaluates the inverse CDF
+ * with a table-driven natural log and returns its floor whenever the
+ * log's error bound cannot move the result across an integer. Only
+ * the rare draw within that bound of a boundary falls back to the
+ * std::log1p formula, so every draw equals the formula's bit for bit
+ * (the argument is written out in rng.cc).
  */
 
 #ifndef MELLOWSIM_SIM_RNG_HH
@@ -31,7 +39,20 @@ struct GeometricGap
 
     /** log1p(-p); exactly 0.0 marks a mean <= 0. */
     double logQ = 0.0;
+    /** 1 / logQ (0 for a mean <= 0), for the table-driven fast path. */
+    double invLogQ = 0.0;
+    /** 2^-38 / |logQ|: the absolute part of the fast path's slack. */
+    double slack = 0.0;
 };
+
+/**
+ * The geometric gap that Rng::nextGeometric(@p gap) returns for the
+ * 53-bit draw @p draw (the top 53 bits of Rng::next(), so
+ * u = draw * 2^-53 is nextDouble()): floor(log1p(-u) / gap.logQ),
+ * clamped at 0, and 0 when gap.logQ is 0. Pure, so tests can aim
+ * draws at the integer boundaries of the result.
+ */
+std::uint64_t geometricFromDraw(std::uint64_t draw, const GeometricGap &gap);
 
 /**
  * xorshift128+ generator (Vigna, 2014). Fast, 16 bytes of state,
@@ -67,7 +88,15 @@ class Rng
     }
 
     /** The same draw with its constant precomputed. */
-    std::uint64_t nextGeometric(GeometricGap gap);
+    std::uint64_t
+    nextGeometric(const GeometricGap &gap)
+    {
+        // log1p(-p) < 0 for every p in (0, 1]: 0 can only mean
+        // "mean <= 0", which returns before drawing.
+        if (gap.logQ == 0.0)
+            return 0;
+        return geometricFromDraw(next() >> 11, gap);
+    }
 
   private:
     std::uint64_t _s0;

@@ -46,15 +46,13 @@ EnduranceModel::enduranceAt(Tick writeLatency) const
 }
 
 double
-EnduranceModel::wearPerWrite(Tick writeLatency) const
+EnduranceModel::computeWear(double n) const
 {
-    return 1.0 / enduranceAt(writeLatency);
-}
-
-double
-EnduranceModel::wearPerWriteFactor(PulseFactor n) const
-{
-    return 1.0 / enduranceAtFactor(n);
+    // Computed before the memo changes, so a fatal leaves it intact.
+    const double wear = 1.0 / enduranceAtRatio(n);
+    _memo[1] = _memo[0];
+    _memo[0] = WearMemo{n, wear};
+    return wear;
 }
 
 } // namespace mellowsim

@@ -10,10 +10,25 @@
  * with the paper's ReRAM baseline of t0 = 150 ns and E0 = 5e6 writes,
  * and Expo_Factor in [1.0, 3.0] (default 2.0, the quadratic trade-off
  * used in the paper's main results).
+ *
+ * wearPerWrite() runs on every write, twice with Wear Quota on (the
+ * tracker and the quota share one model), yet a controller issues
+ * only two pulses in steady state: tWP and the slow pulse. The model
+ * therefore memoizes 1 / Endurance for the last two latency ratios,
+ * so the hot path calls std::pow only when the ratio changes. A hit
+ * returns the double that the same computation produced before, so
+ * it is bit-identical by construction. The memo starts empty (NaN
+ * keys, which equal nothing), so a ratio never computed, 0 included,
+ * still reaches enduranceAtRatio() and its fatal_if. The memo makes
+ * the const accessors write to the model: one model must not be
+ * shared between threads.
  */
 
 #ifndef MELLOWSIM_WEAR_ENDURANCE_MODEL_HH
 #define MELLOWSIM_WEAR_ENDURANCE_MODEL_HH
+
+#include <array>
+#include <limits>
 
 #include "sim/strong_types.hh"
 #include "sim/types.hh"
@@ -55,10 +70,21 @@ class EnduranceModel
      * Wear units contributed by a single write at the given latency:
      * the fraction of the cell's life consumed, 1 / Endurance.
      */
-    [[nodiscard]] double wearPerWrite(Tick writeLatency) const;
+    [[nodiscard]] double
+    wearPerWrite(Tick writeLatency) const
+    {
+        return wearAtRatio(static_cast<double>(writeLatency) /
+                           static_cast<double>(_params.baseWriteLatency));
+    }
 
     /** Wear units for a latency factor N. */
-    [[nodiscard]] double wearPerWriteFactor(PulseFactor n) const;
+    [[nodiscard]] double
+    wearPerWriteFactor(PulseFactor n) const
+    {
+        // mlint: allow(value-escape): sanctioned hand-off of the
+        // (>= 1 by construction) factor to the shared ratio path.
+        return wearAtRatio(n.value());
+    }
 
     [[nodiscard]] const EnduranceParams &params() const
     {
@@ -69,7 +95,30 @@ class EnduranceModel
     /** Shared power law over the (unclamped) latency ratio. */
     [[nodiscard]] double enduranceAtRatio(double n) const;
 
+    /** 1 / enduranceAtRatio(n), answered from the memo when it can. */
+    [[nodiscard]] double
+    wearAtRatio(double n) const
+    {
+        if (_memo[0].ratio == n)
+            return _memo[0].wear;
+        if (_memo[1].ratio == n)
+            return _memo[1].wear;
+        return computeWear(n);
+    }
+
+    /** Memo miss: compute, then keep it as the most recent entry. */
+    double computeWear(double n) const;
+
+    /** One memoized ratio and its wear; a NaN ratio marks it empty. */
+    struct WearMemo
+    {
+        double ratio = std::numeric_limits<double>::quiet_NaN();
+        double wear = 0.0;
+    };
+
     EnduranceParams _params;
+    /** Most recent first. */
+    mutable std::array<WearMemo, 2> _memo{};
 };
 
 } // namespace mellowsim

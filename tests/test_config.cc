@@ -22,6 +22,7 @@
 
 #include "config/config_file.hh"
 #include "config/device_config.hh"
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 using namespace mellowsim;
@@ -139,4 +140,20 @@ TEST(DeviceConfig, DevicesAreDistinctTechnologyPoints)
             EXPECT_FALSE(deviceConfigsEqual(loadDeviceConfig(names[i]),
                                             loadDeviceConfig(names[j])))
                 << names[i] << " vs " << names[j];
+}
+
+TEST(DeviceConfig, OutOfRangeLevelingEfficiencyFailsAtLoad)
+{
+    // fail_range.config sets LevelingEfficiency 1.5: binding rejects
+    // it once, naming the key, before any System is built.
+    const std::string path =
+        std::string(MELLOWSIM_CONFIGCHECK_FIXTURE_DIR) + "/fail_range.config";
+    try {
+        (void)loadDeviceConfig(path);
+        FAIL() << "fail_range.config bound without error";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("LevelingEfficiency"),
+                  std::string::npos)
+            << e.what();
+    }
 }

@@ -100,6 +100,49 @@ TEST(EnduranceModel, NonPositiveFactorsAreUnrepresentable)
     EXPECT_THROW((void)m.enduranceAt(0), FatalError);
 }
 
+/**
+ * The two-entry wear memo: alternating latencies (more of them than
+ * the memo holds, so entries are evicted and recomputed) each give
+ * exactly what a fresh model computes, through both entry points.
+ */
+TEST(EnduranceModel, MemoizedWearMatchesFreshModel)
+{
+    EnduranceParams p;
+    p.expoFactor = 2.5;
+    EnduranceModel memo(p);
+    const Tick latencies[] = {150 * kNanosecond, 450 * kNanosecond,
+                              150 * kNanosecond, 300 * kNanosecond,
+                              450 * kNanosecond, 225 * kNanosecond,
+                              150 * kNanosecond, 150 * kNanosecond,
+                              300 * kNanosecond, 450 * kNanosecond};
+    for (int round = 0; round < 3; ++round) {
+        for (Tick lat : latencies) {
+            const double fresh = EnduranceModel(p).wearPerWrite(lat);
+            EXPECT_EQ(memo.wearPerWrite(lat), fresh) << lat;
+            // The factor path shares the memo, keyed by the same ratio.
+            const double n = static_cast<double>(lat) /
+                             static_cast<double>(p.baseWriteLatency);
+            EXPECT_EQ(memo.wearPerWriteFactor(PulseFactor(n)),
+                      EnduranceModel(p).wearPerWriteFactor(PulseFactor(n)))
+                << lat;
+        }
+    }
+}
+
+TEST(EnduranceModel, MemoNeverAnswersAnUncomputedLatency)
+{
+    // Latency 0 is rejected on a fresh model and after the memo has
+    // been filled, and a failed computation leaves the memo usable.
+    EXPECT_THROW((void)EnduranceModel().wearPerWrite(0), FatalError);
+    EnduranceModel m;
+    const double base = m.wearPerWrite(150 * kNanosecond);
+    const double slow = m.wearPerWrite(450 * kNanosecond);
+    EXPECT_THROW((void)m.wearPerWrite(0), FatalError);
+    EXPECT_EQ(m.wearPerWrite(150 * kNanosecond), base);
+    EXPECT_EQ(m.wearPerWrite(450 * kNanosecond), slow);
+    EXPECT_THROW((void)m.wearPerWrite(0), FatalError);
+}
+
 /** Parameterised sweep over the Figure 1 Expo_Factor family. */
 class EnduranceSweep : public ::testing::TestWithParam<double>
 {

@@ -64,3 +64,77 @@ TEST(Logging, QuietFlagRoundTrips)
     Logger::setQuiet(false);
     EXPECT_FALSE(Logger::quiet());
 }
+
+namespace
+{
+
+/** What panic_if/fatal_if have always thrown: the formatted message,
+ * then the call site. */
+std::string
+expectedText(const char *kind, const std::string &msg, int line)
+{
+    return std::string(kind) + ": " + msg + " (" + __FILE__ + ":" +
+           std::to_string(line) + ")";
+}
+
+} // namespace
+
+TEST(Logging, PanicIfTextAndTypeAreExact)
+{
+    int line = 0;
+    try {
+        line = __LINE__ + 1;
+        panic_if(true, "queue %s overflowed at %d (%.2f)", "read", 32, 1.5);
+        FAIL() << "panic_if did not throw";
+    } catch (const PanicError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  expectedText("panic", "queue read overflowed at 32 (1.50)",
+                               line));
+    }
+}
+
+TEST(Logging, FatalIfTextAndTypeAreExact)
+{
+    int line = 0;
+    try {
+        line = __LINE__ + 1;
+        fatal_if(true, "config %s: %s must be positive", "x.config", "ROWS");
+        FAIL() << "fatal_if did not throw";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  expectedText("fatal", "config x.config: ROWS must be positive",
+                               line));
+    }
+}
+
+TEST(Logging, LongMessagesAreNotTruncated)
+{
+    // Longer than any fixed buffer a formatter might use.
+    const std::string big(700, 'y');
+    int line = 0;
+    try {
+        line = __LINE__ + 1;
+        panic_if(true, "long %s end", big.c_str());
+        FAIL() << "panic_if did not throw";
+    } catch (const PanicError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  expectedText("panic", "long " + big + " end", line));
+    }
+    const std::string huge(5000, 'z');
+    try {
+        line = __LINE__ + 1;
+        fatal("%s|%s", huge.c_str(), big.c_str());
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  expectedText("fatal", huge + "|" + big, line));
+    }
+}
+
+TEST(Logging, ChecksEvaluateTheirConditionOnce)
+{
+    int evaluations = 0;
+    EXPECT_NO_THROW(panic_if(++evaluations > 1, "twice"));
+    EXPECT_EQ(evaluations, 1);
+    EXPECT_THROW(fatal_if(++evaluations > 1, "fired"), FatalError);
+    EXPECT_EQ(evaluations, 2);
+}
